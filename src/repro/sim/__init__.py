@@ -9,13 +9,14 @@ replayable failures (worker kills, transient exceptions, cache
 corruption, stalls), an :class:`ExecutionPolicy` retries/quarantines
 them, and a :class:`SweepManifest` checkpoints sweep status for resume.
 
-The distributed layer turns that harness into a service: a filesystem
-:class:`WorkQueue` shards spec batches into lease-based work items
-(atomic rename-to-claim, TTL heartbeats, expired-lease stealing),
-:func:`run_worker` is the ``repro worker`` loop executing claimed shards
-through the supervised executor into a shared cache, and
+The distributed layer turns that harness into a service:
 :class:`SweepService` is the ``repro serve`` front end accepting spec
-batches over HTTP with graceful local fallback when no worker is alive.
+batches over HTTP and sharding them into its local filesystem
+:class:`WorkQueue` (atomic rename-to-claim, TTL heartbeats,
+expired-lease stealing), with graceful local fallback when no worker is
+alive; :func:`run_worker` is the ``repro worker --server`` loop that
+claims shards over HTTP and executes them through the supervised
+executor.
 
 The network itself is a fault domain: :class:`ResilientClient` wraps
 every RPC with timeouts, deterministic retry/backoff and a circuit

@@ -1,9 +1,11 @@
 """Filesystem work queue with lease-based claims and work stealing.
 
-The distributed sweep layer needs a coordination substrate that any
-number of worker processes — on one machine or many sharing a filesystem
-— can use without a broker, a database or any new dependency.  This
-module provides it with nothing but directories and atomic renames:
+The distributed sweep layer needs a coordination substrate without a
+broker, a database or any new dependency.  ``repro serve`` owns one
+:class:`WorkQueue` on its local disk and exposes it to ``repro worker``
+processes over HTTP (:class:`RemoteWorkQueue`, token-addressed leases);
+the server's own local fallback claims from the same directory.  The
+queue is built from nothing but directories and atomic renames:
 
 * a sweep is **enqueued** as shards (a few :class:`~repro.sim.specs.RunSpec`
   dicts per JSON payload) dropped into ``pending/``;
@@ -57,7 +59,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .faults import FailedResult
 from .netclient import ResilientClient, RpcError, RpcHttpError, RpcPolicy
@@ -203,24 +205,14 @@ class WorkQueue:
     root:
         Queue directory; created (with its ``queue.json`` config) if
         absent.  Reopening an existing root inherits its recorded
-        ``lease_ttl``/``cache_dir`` unless overridden explicitly.
+        ``lease_ttl`` unless overridden explicitly.
     lease_ttl:
         Seconds before an unrenewed lease may be stolen.
-    cache_dir:
-        Shared :class:`~repro.sim.cache.ResultCache` directory recorded
-        in the config so workers and the server agree on where results
-        land without passing the path out of band.
     """
 
     CONFIG_VERSION = 1
 
-    def __init__(
-        self,
-        root: str | Path,
-        *,
-        lease_ttl: float | None = None,
-        cache_dir: str | Path | None = None,
-    ) -> None:
+    def __init__(self, root: str | Path, *, lease_ttl: float | None = None) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         config = self._load_config()
@@ -228,11 +220,7 @@ class WorkQueue:
             lease_ttl = config.get("lease_ttl", DEFAULT_LEASE_TTL)
         if lease_ttl <= 0:
             raise ValueError("lease_ttl must be positive")
-        if cache_dir is None:
-            recorded = config.get("cache_dir")
-            cache_dir = Path(recorded) if recorded else None
         self.lease_ttl = float(lease_ttl)
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         for sub in (self.pending_dir, self.leased_dir, self.done_dir):
             sub.mkdir(parents=True, exist_ok=True)
         self._save_config()
@@ -264,11 +252,7 @@ class WorkQueue:
     def _save_config(self) -> None:
         self._atomic_json(
             self.config_path,
-            {
-                "version": self.CONFIG_VERSION,
-                "lease_ttl": self.lease_ttl,
-                "cache_dir": str(self.cache_dir) if self.cache_dir else None,
-            },
+            {"version": self.CONFIG_VERSION, "lease_ttl": self.lease_ttl},
         )
 
     def _atomic_json(self, path: Path, payload: object) -> None:
@@ -425,14 +409,23 @@ class WorkQueue:
             payload["rpc"] = extra
         self._atomic_json(self.done_dir / f"{shard_id}.json", payload)
 
-    def done_statuses(self) -> dict[str, dict]:
-        """Merge every ``done/`` record into one ``spec_hash → status`` map."""
-        merged: dict[str, dict] = {}
-        for path in sorted(self.done_dir.glob("*.json")):
+    def _done_records(self, shard_ids: Iterable[str]) -> Iterable[dict]:
+        """The readable ``done/`` records of ``shard_ids`` (unfinished ones skip)."""
+        for shard_id in shard_ids:
             try:
-                payload = json.loads(path.read_text("utf-8"))
+                payload = json.loads(
+                    (self.done_dir / f"{shard_id}.json").read_text("utf-8")
+                )
             except (OSError, ValueError):
                 continue
+            if isinstance(payload, dict):
+                yield payload
+
+    def done_statuses(self, shard_ids: Iterable[str]) -> dict[str, dict]:
+        """Merge the ``done/`` records of ``shard_ids`` into one
+        ``spec_hash → status`` map."""
+        merged: dict[str, dict] = {}
+        for payload in self._done_records(shard_ids):
             for record in payload.get("statuses", []):
                 if isinstance(record, dict) and "spec_hash" in record:
                     merged[record["spec_hash"]] = record
@@ -455,21 +448,12 @@ class WorkQueue:
         counts = self.counts()
         return counts["pending"] == 0 and counts["leased"] == 0
 
-    def rpc_totals(self, *, prefix: str | None = None) -> dict[str, int]:
-        """Sum the per-shard ``"rpc"`` extras across done records.
-
-        ``prefix`` restricts the sum to one job's shards (shard ids are
-        ``{job_id}-{n:04d}``), so concurrent jobs on one queue report
-        their own worker RPC/spill totals.
-        """
+    def rpc_totals(self, shard_ids: Iterable[str]) -> dict[str, int]:
+        """Sum the per-shard ``"rpc"`` extras across the done records of
+        ``shard_ids`` — one job's shards, so concurrent jobs on one queue
+        report their own worker RPC/spill totals."""
         totals: dict[str, int] = {}
-        for path in sorted(self.done_dir.glob("*.json")):
-            if prefix is not None and not path.name.startswith(f"{prefix}-"):
-                continue
-            try:
-                payload = json.loads(path.read_text("utf-8"))
-            except (OSError, ValueError):
-                continue
+        for payload in self._done_records(shard_ids):
             extra = payload.get("rpc")
             if not isinstance(extra, dict):
                 continue
@@ -483,8 +467,9 @@ class WorkQueue:
 class RemoteWorkLease:
     """One shard claimed over HTTP from a ``repro serve`` queue.
 
-    The lifecycle mirrors :class:`WorkLease` (``process_lease`` duck-types
-    over either), but every transition is an RPC through the worker's
+    The lifecycle mirrors :class:`WorkLease` (``process_lease`` runs
+    either: remote leases on workers, local ones in the server's
+    fallback), but every transition is an RPC through the worker's
     :class:`~repro.sim.netclient.ResilientClient`: the lease is addressed
     by the opaque ``token`` the server minted at claim time.  A heartbeat
     that cannot reach the server — retries exhausted or circuit open — is
@@ -671,17 +656,18 @@ def status_record(
 def collect_results(
     specs: Sequence[RunSpec],
     cache: "ResultCache",
-    queue: WorkQueue | None = None,
+    statuses: Mapping[str, dict] | None = None,
 ) -> list[RunResult | FailedResult | None]:
     """Assemble final results for ``specs`` from the shared cache.
 
     ``done`` specs come back as cache hits; ``failed`` specs are
-    reconstructed as :class:`FailedResult` from the queue's published
-    status records (when a queue is given); anything else — still
-    running, or a done record whose cache entry was corrupted away — is
-    ``None`` and the caller decides whether to wait or recompute.
+    reconstructed as :class:`FailedResult` from ``statuses`` (the
+    :meth:`WorkQueue.done_statuses` of the specs' shards); anything else
+    — still running, or a done record whose cache entry was corrupted
+    away — is ``None`` and the caller decides whether to wait or
+    recompute.
     """
-    statuses = queue.done_statuses() if queue is not None else {}
+    statuses = statuses or {}
     out: list[RunResult | FailedResult | None] = []
     for spec in specs:
         hit = cache.get(spec)

@@ -1,16 +1,15 @@
 """``repro serve``: an HTTP front end over the distributed sweep queue.
 
 Stdlib only (``http.server`` + ``urllib``) — the service accepts batches
-of :class:`~repro.sim.specs.RunSpec` dicts over HTTP, shards them into a
-:class:`~repro.sim.queue.WorkQueue` for ``repro worker`` processes to
-claim, tracks progress in a server-side
-:class:`~repro.sim.manifest.SweepManifest`, and streams newline-delimited
-JSON progress snapshots.  It is also the **cache and queue authority**
-for workers running with no shared filesystem: the ``/api/cache``
-endpoints serve and accept checksummed result payloads, and the
-``/api/queue`` endpoints expose claim/heartbeat/complete/abandon over
-HTTP (token-addressed leases backed by the same on-disk queue, so
-HTTP and shared-filesystem workers can mix freely).  Robustness posture:
+of :class:`~repro.sim.specs.RunSpec` dicts over HTTP, shards them into
+its local :class:`~repro.sim.queue.WorkQueue`, tracks each job's
+progress from the queue's ``done/`` records and the cache, and streams
+newline-delimited JSON progress snapshots.  It is the **cache and queue
+authority** for ``repro worker --server`` processes, which need no
+shared filesystem: the ``/api/cache`` endpoints serve and accept
+checksummed result payloads, and the ``/api/queue`` endpoints expose
+claim/heartbeat/complete/abandon over HTTP (token-addressed leases
+backed by the on-disk queue).  Robustness posture:
 
 * **Work stealing** — the monitor thread reclaims expired leases, so a
   killed worker's shard returns to ``pending/`` for the survivors.
@@ -50,7 +49,7 @@ Endpoints (HTTP/1.0, ``Connection: close``):
 ``PUT /api/cache/<hash>``       publish one payload (sidecar + pickle body)
 ``GET /api/queue``              shard counts, drained flag, lease TTL
 ``POST /api/queue/claim``       ``{"owner"}`` → token-addressed lease or null
-``POST /api/queue/heartbeat``   ``{"token", "ttl"?}`` (410 when lost)
+``POST /api/queue/heartbeat``   ``{"token", "ttl"?}`` (410 lost, 400 bad ttl)
 ``POST /api/queue/complete``    ``{"token", "statuses", "rpc"?}``
 ``POST /api/queue/abandon``     ``{"token"}``
 ==============================  ===============================================
@@ -60,6 +59,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
 import re
 import threading
 import time
@@ -77,7 +77,6 @@ from .cache import (
     payload_checksum_ok,
 )
 from .faults import FailedResult, FaultPlan
-from .manifest import SweepManifest
 from .netclient import (
     CHECKSUM_MISMATCH_HEADER,
     PAYLOAD_CHECKSUM_HEADER,
@@ -101,6 +100,38 @@ __all__ = [
 ]
 
 _CACHE_KEY_RE = re.compile(r"^[0-9a-f]{16,64}$")
+_JOB_SHARD_RE = re.compile(r"^job-(\d+)-")
+
+
+def _next_job_number(queue: WorkQueue) -> int:
+    """One past the highest ``job-N`` whose shards the queue still holds.
+
+    Shard ids are ``{job_id}-{n:04d}`` and ``done/`` records outlive the
+    process, so a restarted server must not reuse a job id: a reused
+    shard id would be retired on claim as already done.
+    """
+    used = [
+        int(match.group(1))
+        for folder in (queue.pending_dir, queue.leased_dir, queue.done_dir)
+        for name in os.listdir(folder)
+        if (match := _JOB_SHARD_RE.match(name))
+    ]
+    return max(used, default=0) + 1
+
+
+#: Longest lease a heartbeat may request (a year); the bound also keeps
+#: the lease's millisecond expiry a finite integer.
+_MAX_HEARTBEAT_TTL = 365 * 86400.0
+
+
+def _valid_ttl(ttl: object) -> bool:
+    """A heartbeat TTL is absent (the queue's default) or a JSON number of
+    seconds in (0, a year]."""
+    return ttl is None or (
+        isinstance(ttl, (int, float))
+        and not isinstance(ttl, bool)
+        and 0 < ttl <= _MAX_HEARTBEAT_TTL
+    )
 
 
 @dataclass
@@ -109,7 +140,6 @@ class SweepJob:
 
     job_id: str
     specs: list[RunSpec]
-    manifest: SweepManifest
     shard_ids: list[str]
     #: spec hash → "done" | "failed", filled in by the monitor.
     state: dict[str, str] = field(default_factory=dict)
@@ -170,7 +200,7 @@ class SweepService:
     ) -> None:
         if cache_dir is None:
             cache_dir = default_cache_dir()
-        self.queue = WorkQueue(queue_root, lease_ttl=lease_ttl, cache_dir=cache_dir)
+        self.queue = WorkQueue(queue_root, lease_ttl=lease_ttl)
         self.cache = ResultCache(cache_dir)
         self.shard_size = shard_size
         self.fallback_after = fallback_after
@@ -178,7 +208,7 @@ class SweepService:
         self.fault_plan = fault_plan
         self.jobs: dict[str, SweepJob] = {}
         self._lock = threading.Lock()
-        self._next_id = 1
+        self._next_id = _next_job_number(self.queue)
         self._closed = threading.Event()
         #: Token → live lease for remote (HTTP) workers.
         self._leases: dict[str, WorkLease] = {}
@@ -335,17 +365,10 @@ class SweepService:
         with self._lock:
             job_id = f"job-{self._next_id}"
             self._next_id += 1
-        jobs_dir = self.queue.root / "jobs"
-        jobs_dir.mkdir(parents=True, exist_ok=True)
-        manifest = SweepManifest(jobs_dir / f"{job_id}.manifest.json")
-        for spec in specs:
-            manifest.record_pending(spec)
         shard_ids = self.queue.enqueue(
             specs, shard_size=shard_size or self.shard_size, prefix=job_id
         )
-        job = SweepJob(
-            job_id=job_id, specs=specs, manifest=manifest, shard_ids=shard_ids
-        )
+        job = SweepJob(job_id=job_id, specs=specs, shard_ids=shard_ids)
         with self._lock:
             self.jobs[job_id] = job
         threading.Thread(
@@ -355,44 +378,29 @@ class SweepService:
 
     def _refresh(self, job: SweepJob) -> bool:
         """Fold queue/cache state into the job; True if anything advanced."""
-        statuses = self.queue.done_statuses()
+        statuses = self.queue.done_statuses(job.shard_ids)
         advanced = False
         for spec in job.specs:
             key = spec.spec_hash()
             if key in job.state:
                 continue
-            record = statuses.get(key)
-            if record is not None and record.get("status") == "failed":
+            status = statuses.get(key, {}).get("status")
+            if status == "failed":
                 job.state[key] = "failed"
-                job.manifest.record_failed(
-                    spec,
-                    FailedResult(
-                        spec=spec,
-                        error=str(record.get("error", "unknown failure")),
-                        error_type=str(record.get("error_type", "Exception")),
-                        attempts=int(record.get("attempts", 0)),
-                        fault_events=list(record.get("fault_events") or []),
-                    ),
-                )
                 advanced = True
-            elif (record is not None and record.get("status") == "done") or (
-                spec in self.cache
-            ):
+            elif status == "done" or spec in self.cache:
                 job.state[key] = "done"
-                job.manifest.record_done(spec)
                 advanced = True
-        if advanced:
-            job.rpc = self.queue.rpc_totals(prefix=job.job_id)
         if len(job.state) == len(job.specs) and not job.complete:
-            job.rpc = self.queue.rpc_totals(prefix=job.job_id)
             job.complete = True
-            job.manifest.compact()
             advanced = True
+        if advanced:
+            job.rpc = self.queue.rpc_totals(job.shard_ids)
         return advanced
 
     def _drive(self, job: SweepJob) -> None:
-        """Monitor thread: reclaim expired leases, fall back to local
-        execution when no worker is making progress, finish the manifest."""
+        """Monitor thread: reclaim expired leases and fall back to local
+        execution when no worker is making progress."""
         last_advance = time.monotonic()
         while not self._closed.is_set():
             self.queue.reclaim_expired()
@@ -401,8 +409,13 @@ class SweepService:
             if job.complete:
                 return
             stalled = time.monotonic() - last_advance >= self.fallback_after
-            counts = self.queue.counts()
-            if stalled and counts["leased"] == 0 and counts["pending"] > 0:
+            # Count shards only once stalled: the done/ listing grows with
+            # the server's history, the poll rate must not pay for it.
+            if (
+                stalled
+                and (counts := self.queue.counts())["leased"] == 0
+                and counts["pending"] > 0
+            ):
                 # No worker is alive and holding a lease: drain the
                 # pending shards in-process until the queue is empty (or
                 # a resurrected worker starts winning the claim races).
@@ -430,7 +443,10 @@ class SweepService:
         """Per-spec outcome records for a completed job."""
         out = []
         for spec, result in zip(
-            job.specs, collect_results(job.specs, self.cache, self.queue)
+            job.specs,
+            collect_results(
+                job.specs, self.cache, self.queue.done_statuses(job.shard_ids)
+            ),
         ):
             record: dict = {
                 "spec_hash": spec.spec_hash(),
@@ -753,9 +769,10 @@ def make_server(
                 return
             if action == "heartbeat":
                 ttl = payload.get("ttl")
-                ok = service.lease_heartbeat(
-                    token, float(ttl) if ttl is not None else None
-                )
+                if not _valid_ttl(ttl):
+                    self._send_json({"error": "bad lease ttl"}, 400)
+                    return
+                ok = service.lease_heartbeat(token, ttl)
                 if not ok:
                     self._send_json({"error": "lease lost"}, 410)
                     return

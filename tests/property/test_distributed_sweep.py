@@ -2,12 +2,13 @@
 
 The headline contract of the distributed layer extends the fault-tolerance
 discipline across process boundaries: a localhost topology — HTTP server,
-multiple worker processes, a shared filesystem queue and cache — with
-fault-injected worker kills (hard ``os._exit`` mid-shard) and forced
-lease expiries must produce results *bit-identical* to a serial,
-fault-free sweep.  Reclaimed (stolen) shards resume the global fault-coin
-stream via their takeover count, so retry budgets are never re-burned,
-and poison specs quarantine as structured ``FailedResult`` records.
+multiple ``repro worker --server`` processes claiming shards and
+publishing results over HTTP — with fault-injected worker kills (hard
+``os._exit`` mid-shard) and forced lease expiries must produce results
+*bit-identical* to a serial, fault-free sweep.  Reclaimed (stolen)
+shards resume the global fault-coin stream via their takeover count, so
+retry budgets are never re-burned, and poison specs quarantine as
+structured ``FailedResult`` records.
 
 The CI fault-injection leg sets ``REPRO_FAULT_SEED`` to vary the
 schedule across runs; locally the default seed keeps runs reproducible.
@@ -78,14 +79,22 @@ def _baseline(specs):
     return {s.spec_hash(): execute_spec(s).summary for s in specs}
 
 
-def _spawn_worker(queue_dir: Path, *, extra=()) -> subprocess.Popen:
+def _serve(service: SweepService):
+    """Bind ``service`` on an ephemeral localhost port; returns (server, url)."""
+    server = make_server(service, "127.0.0.1", 0)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    return server, f"http://127.0.0.1:{server.server_address[1]}"
+
+
+def _spawn_worker(base_url: str, spill_dir: Path, *, extra=()) -> subprocess.Popen:
     env = dict(os.environ)
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = SRC_DIR + (os.pathsep + existing if existing else "")
     return subprocess.Popen(
         [
             sys.executable, "-m", "repro", "worker",
-            "--queue-dir", str(queue_dir),
+            "--server", base_url,
+            "--spill-dir", str(spill_dir),
             "--poll", "0.05",
             "--exit-when-drained",
             "--wait-for-queue", "10",
@@ -120,9 +129,7 @@ class TestLocalhostTopology:
             fallback_after=30.0,  # workers do the work; no local fallback
             poll=0.05,
         )
-        server = make_server(service, "127.0.0.1", 0)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        base = f"http://127.0.0.1:{server.server_address[1]}"
+        server, base = _serve(service)
         fault_flags = (
             "--fault-seed", str(FAULT_SEED),
             "--fault-kill-rate", "0.4",
@@ -131,7 +138,8 @@ class TestLocalhostTopology:
             "--max-retries", "2",
         )
         workers = [
-            _spawn_worker(tmp_path / "queue", extra=fault_flags) for _ in range(2)
+            _spawn_worker(base, tmp_path / f"spill{i}", extra=fault_flags)
+            for i in range(2)
         ]
         kills = 0
         try:
@@ -149,7 +157,7 @@ class TestLocalhostTopology:
                         if status == 86:
                             kills += 1
                         workers[i] = _spawn_worker(
-                            tmp_path / "queue", extra=fault_flags
+                            base, tmp_path / f"spill{i}", extra=fault_flags
                         )
                 snap = json.loads(
                     urllib.request.urlopen(
@@ -224,23 +232,35 @@ class TestLeaseRecovery:
         """
         specs = _specs(4)
         baseline = _baseline(specs)
-        queue = WorkQueue(
-            tmp_path / "queue", lease_ttl=0.1, cache_dir=tmp_path / "cache"
-        )
-        queue.enqueue(specs, shard_size=2)
-        plan = FaultPlan(seed=FAULT_SEED, lease_death_rate=1.0, fault_budget=1)
-        stats = run_worker(
+        service = SweepService(
             tmp_path / "queue",
-            fault_plan=plan,
+            tmp_path / "cache",
+            lease_ttl=0.3,
+            fallback_after=60.0,  # the worker does the work; no local fallback
             poll=0.05,
-            exit_when_drained=True,
         )
+        server, base = _serve(service)
+        try:
+            job = service.submit(specs, shard_size=2)
+            plan = FaultPlan(seed=FAULT_SEED, lease_death_rate=1.0, fault_budget=1)
+            stats = run_worker(
+                base,
+                spill_dir=tmp_path / "spill",
+                fault_plan=plan,
+                poll=0.05,
+                exit_when_drained=True,
+            )
+            assert service.wait(job, timeout=30)
+        finally:
+            service.close()
+            server.shutdown()
+            server.server_close()
         assert stats.lease_deaths == 2  # every shard died once
         assert stats.shards_completed == 2
-        assert queue.drained()
-        cache = ResultCache(tmp_path / "cache")
+        assert service.queue.drained()
+        assert job.served_locally == 0
         for spec in specs:
-            hit = cache.get(spec)
+            hit = service.cache.get(spec)
             assert hit is not None
             assert hit.summary == baseline[spec.spec_hash()]
 
@@ -254,9 +274,7 @@ class TestLeaseRecovery:
         """
         specs = _specs(2)
         cache = ResultCache(tmp_path / "cache")
-        queue = WorkQueue(
-            tmp_path / "queue", lease_ttl=0.05, cache_dir=tmp_path / "cache"
-        )
+        queue = WorkQueue(tmp_path / "queue", lease_ttl=0.05)
         queue.enqueue(specs, shard_size=2)
         victim = queue.claim("victim")
         # The victim "finished" one spec before dying mid-shard.
@@ -280,6 +298,42 @@ class TestLeaseRecovery:
         assert thief_cache.hits >= 1  # the victim's finished spec was reused
         assert victim.lost or not victim.path.exists()
         assert queue.drained()
+
+
+class TestServiceRestart:
+    def test_restarted_server_issues_fresh_job_ids(self, tmp_path):
+        """A server restarted over an existing queue dir never reuses a job id.
+
+        ``done/`` records outlive the server process.  Were job ids to
+        restart at ``job-1``, the new job's shards would collide with the
+        old done records, be retired on claim as already finished, and
+        leave the job pending forever with no lease for the fallback to
+        notice.
+        """
+        specs = _specs(4)
+        jobs = []
+        for batch in (specs[:2], specs[2:]):  # disjoint: no cache hits
+            service = SweepService(
+                tmp_path / "queue",
+                tmp_path / "cache",
+                shard_size=1,
+                fallback_after=0.1,  # no workers: the server runs the shards
+                poll=0.05,
+            )
+            try:
+                job = service.submit(batch)
+                assert service.wait(job, timeout=30), job.snapshot()
+                jobs.append((job, service.results(job)))
+            finally:
+                service.close()
+
+        assert [job.job_id for job, _ in jobs] == ["job-1", "job-2"]
+        assert not (tmp_path / "queue" / "jobs").exists()  # no per-job manifest
+        second, results = jobs[1]
+        baseline = _baseline(specs[2:])
+        for spec, record in zip(second.specs, results):
+            assert record["status"] == "done"
+            assert RunSummary(**record["summary"]) == baseline[spec.spec_hash()]
 
 
 class TestShardedSweepUnion:

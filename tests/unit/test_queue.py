@@ -77,11 +77,10 @@ class TestEnqueueClaim:
         assert queue.claim("w") is None
         assert queue.counts() == {"pending": 0, "leased": 0, "done": 0}
 
-    def test_config_round_trips_cache_dir_and_ttl(self, tmp_path):
-        WorkQueue(tmp_path / "q", lease_ttl=3.5, cache_dir=tmp_path / "c")
+    def test_config_round_trips_ttl(self, tmp_path):
+        WorkQueue(tmp_path / "q", lease_ttl=3.5)
         reopened = WorkQueue(tmp_path / "q")
         assert reopened.lease_ttl == 3.5
-        assert reopened.cache_dir == tmp_path / "c"
 
 
 class TestLeaseLifecycle:
@@ -134,12 +133,12 @@ class TestCompletion:
     def test_complete_publishes_statuses_and_drains(self, tmp_path):
         queue = WorkQueue(tmp_path / "q")
         specs = _specs(2)
-        queue.enqueue(specs, shard_size=2)
+        ids = queue.enqueue(specs, shard_size=2)
         lease = queue.claim("w")
         records = [status_record(s, execute_spec(s)) for s in lease.specs]
         assert lease.complete(records)
         assert queue.drained()
-        statuses = queue.done_statuses()
+        statuses = queue.done_statuses(ids)
         assert set(statuses) == {s.spec_hash() for s in specs}
         assert all(r["status"] == "done" for r in statuses.values())
 
@@ -159,16 +158,41 @@ class TestCompletion:
     def test_failed_status_records_survive(self, tmp_path):
         queue = WorkQueue(tmp_path / "q")
         specs = _specs(1)
-        queue.enqueue(specs, shard_size=1)
+        ids = queue.enqueue(specs, shard_size=1)
         lease = queue.claim("w")
         failure = FailedResult(
             spec=specs[0], error="boom", error_type="ValueError", attempts=3
         )
         lease.complete([status_record(specs[0], failure)])
-        record = queue.done_statuses()[specs[0].spec_hash()]
+        record = queue.done_statuses(ids)[specs[0].spec_hash()]
         assert record["status"] == "failed"
         assert record["error_type"] == "ValueError"
         assert record["attempts"] == 3
+
+    def test_done_records_are_read_per_shard(self, tmp_path):
+        # A job reads only its own shards' done records, so jobs sharing
+        # one queue keep their statuses and RPC totals apart, and shards
+        # still running are simply absent.
+        queue = WorkQueue(tmp_path / "q")
+        specs = _specs(3)
+        mine = queue.enqueue(specs[:2], shard_size=1, prefix="job-1")
+        theirs = queue.enqueue(specs[2:], shard_size=1, prefix="job-2")
+        for _ in range(2):
+            lease = queue.claim("w")
+            records = [status_record(s, execute_spec(s)) for s in lease.specs]
+            lease.complete(records, extra={"requests": 2, "spilled": 1})
+        assert [s.spec_hash() for s in lease.specs] == [specs[1].spec_hash()]
+        lease = queue.claim("w")
+        lease.complete(
+            [status_record(s, execute_spec(s)) for s in lease.specs],
+            extra={"requests": 5},
+        )
+        assert set(queue.done_statuses(mine)) == {s.spec_hash() for s in specs[:2]}
+        assert set(queue.done_statuses(theirs)) == {specs[2].spec_hash()}
+        assert queue.rpc_totals(mine) == {"requests": 4, "spilled": 2}
+        assert queue.rpc_totals(theirs) == {"requests": 5}
+        assert queue.done_statuses(["job-3-0000"]) == {}
+        assert queue.rpc_totals(["job-3-0000"]) == {}
 
 
 class TestCollectResults:
@@ -189,7 +213,7 @@ class TestCollectResults:
                 )
             ],
         )
-        results = collect_results(specs, cache, queue)
+        results = collect_results(specs, cache, queue.done_statuses(["s-0000"]))
         assert results[0].summary == done.summary
         assert isinstance(results[1], FailedResult) and results[1].error == "bad"
         assert results[2] is None

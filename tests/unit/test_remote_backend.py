@@ -388,6 +388,19 @@ class TestRemoteQueueProtocol:
         assert lease.takeovers == 0
         assert [s.spec_hash() for s in lease.specs] == [spec.spec_hash()]
         lease.heartbeat()  # renews without error
+        lease.heartbeat(2.5)  # an explicit TTL renews too
+        # A malformed TTL is a 400, not a crashed handler or a
+        # dropped connection, and leaves the lease alive.
+        for bad in ("soon", [1], float("nan"), float("inf"), 0, -1, True, 1e308):
+            request = urllib.request.Request(
+                f"{base}/api/queue/heartbeat",
+                data=json.dumps({"token": lease.token, "ttl": bad}).encode(),
+                method="POST",
+            )
+            with pytest.raises(urlerror.HTTPError) as rejected:
+                urllib.request.urlopen(request, timeout=10)
+            assert rejected.value.code == 400, bad
+        lease.heartbeat()
         counts = queue.counts()
         assert counts["leased"] == 1
         # Publish the result out-of-band (the worker's cache PUT) and
