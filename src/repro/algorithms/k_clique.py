@@ -105,8 +105,7 @@ class _KCliqueController(QueueingController):
         replica = self.replicas[pair]
         if replica.holder != self.station_id:
             return None
-        members = self._pair_members[pair]
-        packet = self.queue.peek_any_matching(lambda p: p.destination in members)
+        packet = self.queue.peek_any_in(self._pair_members[pair])
         if packet is None:
             return None
         return self.transmit(packet)

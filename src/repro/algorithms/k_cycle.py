@@ -145,19 +145,12 @@ class _KCycleController(QueueingController):
 
     # -- protocol -----------------------------------------------------------
     def _eligible_packet(self, group: int):
-        members = self._member_sets[group]
-        connector = self.forward_connector[group]
-
-        def progresses(packet) -> bool:
-            if packet.destination in members:
-                return True
-            # A packet leaving the group is adopted by the forward
-            # connector; if we *are* that connector, transmitting it now
-            # makes no progress, so withhold it until our other group is
-            # active.
-            return self.station_id != connector
-
-        return self.queue.peek_old_matching(progresses)
+        # A packet leaving the group is adopted by the forward connector;
+        # if we *are* that connector, transmitting it now makes no
+        # progress, so withhold it until our other group is active.
+        if self.station_id != self.forward_connector[group]:
+            return self.queue.peek_old()
+        return self.queue.peek_old_in(self._member_sets[group])
 
     def act(self, round_no: int) -> Message | None:
         if not self._seg_start <= round_no < self._seg_end:

@@ -141,12 +141,15 @@ class SweepJob:
     job_id: str
     specs: list[RunSpec]
     shard_ids: list[str]
+    #: The queue holding the shards.  Worker RPC/spill counters are read
+    #: from its done records at snapshot time: a worker publishes its
+    #: results before it completes the lease, so the job can be complete
+    #: before its last shard's counters exist.
+    queue: WorkQueue = field(repr=False)
     #: spec hash → "done" | "failed", filled in by the monitor.
     state: dict[str, str] = field(default_factory=dict)
     complete: bool = False
     served_locally: int = 0
-    #: Aggregated worker RPC/spill counters from this job's done records.
-    rpc: dict[str, int] = field(default_factory=dict)
 
     def snapshot(self) -> dict:
         done = sum(1 for s in self.state.values() if s == "done")
@@ -159,7 +162,7 @@ class SweepJob:
             "pending": len(self.specs) - done - failed,
             "complete": self.complete,
             "served_locally": self.served_locally,
-            "rpc": dict(self.rpc),
+            "rpc": self.queue.rpc_totals(self.shard_ids),
         }
 
 
@@ -368,7 +371,7 @@ class SweepService:
         shard_ids = self.queue.enqueue(
             specs, shard_size=shard_size or self.shard_size, prefix=job_id
         )
-        job = SweepJob(job_id=job_id, specs=specs, shard_ids=shard_ids)
+        job = SweepJob(job_id=job_id, specs=specs, shard_ids=shard_ids, queue=self.queue)
         with self._lock:
             self.jobs[job_id] = job
         threading.Thread(
@@ -394,8 +397,6 @@ class SweepService:
         if len(job.state) == len(job.specs) and not job.complete:
             job.complete = True
             advanced = True
-        if advanced:
-            job.rpc = self.queue.rpc_totals(job.shard_ids)
         return advanced
 
     def _drive(self, job: SweepJob) -> None:

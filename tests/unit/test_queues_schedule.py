@@ -64,14 +64,17 @@ class TestPacketQueue:
         assert q.peek_any_for(2) is p
         assert len(q) == 1
 
-    def test_peek_matching_predicates(self, make_packet):
+    def test_peek_destination_sets(self, make_packet):
         q = PacketQueue()
         a, b = make_packet(1), make_packet(4)
         q.push(a)
         q.age_all()
         q.push(b)
-        assert q.peek_old_matching(lambda p: p.destination > 2) is None
-        assert q.peek_any_matching(lambda p: p.destination > 2) is b
+        assert q.peek_old_in({3, 4}) is None
+        assert q.peek_any_in({3, 4}) is b
+        assert q.peek_old_in({1, 4}) is a
+        assert q.peek_any_in({4, 1}) is a
+        assert q.peek_any_in(set()) is None
 
     def test_remove_specific_packet(self, make_packet):
         q = PacketQueue()
@@ -90,7 +93,8 @@ class TestPacketQueue:
         q.push(make_packet(1))
         assert q.count_old_for(1) == 2
         assert q.count_for(1) == 3
-        assert q.count_old_matching(lambda p: p.destination >= 2) == 2
+        assert q.count_old_for(2) + q.count_old_for(3) == 2
+        assert q.count_for(4) == 0
         assert q.destinations() == {1, 2, 3}
         assert q.has_old_for([3, 9])
         assert not q.has_old_for([9])

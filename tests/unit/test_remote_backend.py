@@ -415,6 +415,22 @@ class TestRemoteQueueProtocol:
         assert service.wait(job, timeout=60)
         assert job.snapshot()["rpc"].get("requests") == 3
 
+    def test_rpc_counters_of_a_lease_completed_after_the_job(self, live_server):
+        # A worker publishes its results before completing the lease, so
+        # the monitor can see the job complete (every spec cached) while
+        # the shard's done record, which carries the counters, is still
+        # missing.  The snapshot must pick the counters up once it lands.
+        service, base = live_server
+        spec = _spec()
+        job = service.submit([spec.to_dict()], shard_size=1)
+        lease = RemoteWorkQueue(base, policy=_FAST).claim("unit-worker")
+        result = execute_spec(spec)
+        ResultCache(backend=RemoteCacheBackend(base, policy=_FAST)).put(spec, result)
+        assert service.wait(job, timeout=60)
+        assert job.snapshot()["rpc"] == {}
+        assert lease.complete([status_record(spec, result)], extra={"requests": 3})
+        assert job.snapshot()["rpc"] == {"requests": 3}
+
     def test_spent_token_returns_410_and_lost_lease(self, live_server):
         service, base = live_server
         spec = _spec()
