@@ -32,8 +32,11 @@ The headline configuration — an oblivious adversary driving a
 schedule-published k-Cycle at n=64 in the paper's energy-frugal regime
 (k << n) — is where the kernel's negotiated fast paths all engage
 (including batched injection planning); the Count-Hop / Orchestra /
-Adjust-Window / k-Subsets rows track the ticked-wakes tier (shared state
-machine, one tick + one batch awake-set query per round) per algorithm,
+k-Subsets rows track the ticked-wakes tier (shared state machine, one
+tick + one batch awake-set query per round) per algorithm, the
+Adjust-Window row tracks that tier on the kernel and its restricted
+block driver (Gossip per-round, Main and Auxiliary stages lowered) on
+the block engine, gated by both the block and the lowered bands,
 the adaptive rows track the windowed-view path with its schedule-backed
 batch maintenance, and the low-rate bursty rows track the quiescence
 axis (whole injection-free spans elided in one step — the win that
@@ -277,6 +280,13 @@ BLOCK_BANDS: dict[str, float] = {
     # ~x0.85, far below the floor.
     "count-hop n=64, oblivious round-robin (restricted block driver)": 1.05,
     "orchestra n=64, oblivious round-robin (restricted block driver)": 1.3,
+    # Restricted driver that lowers: at n=4 both horizons stay inside the
+    # first window (800 Gossip rounds per-round, the rest one lowered
+    # Main stage).  2 vCPUs, no numba, two sets of 12 best-of-2 smoke
+    # samples: medians x1.70 and x1.68, minimum x1.47 bar one x1.14
+    # during a host burst; full horizon x1.62-2.13.  Without the driver
+    # the ratio is x0.96-1.08.
+    "adjust-window n=4, oblivious spray (ticked wakes path)": 1.25,
 }
 
 #: Dense token-withholding configs whose drivers lower whole segments to
@@ -293,6 +303,10 @@ LOWERED_BANDS: dict[str, float] = {
     "rrw n=64, dense random rho=0.9 (compiled blocks, all awake)": 1.3,
     "of-rrw n=64, dense random rho=0.9 (compiled blocks, all awake)": 1.15,
     "mbtf n=64, dense random rho=0.95 (compiled blocks, all awake)": 1.3,
+    # Lowered vs per-round block loop, same samples as its block band:
+    # smoke medians x1.69 and x1.75, minimum x1.57 bar one x1.20 during
+    # a host burst; full horizon x1.39-2.9.  Without the driver ~x1.0.
+    "adjust-window n=4, oblivious spray (ticked wakes path)": 1.25,
 }
 
 # A band keyed by a name no config carries would silently stop gating the

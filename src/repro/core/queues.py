@@ -32,6 +32,7 @@ Complexity, for a backlog of ``b`` packets and ``k`` destinations
   ``peek_old_for``, ``peek_any_for``, ``count_old_for``, ``count_for``,
   ``size``, ``old_count``, ``new_count``;
 * O(len(ds)): ``peek_old_in(ds)``, ``peek_any_in(ds)``, ``has_old_for(ds)``;
+* O(limit) plus the tombstones passed: ``first_for(d, limit)``;
 * O(b), once: pushing again a removed packet whose tombstone is still
   in the deques;
 * O(k) plus a C-level deque extend of the promoted packets: ``age_all``;
@@ -361,6 +362,22 @@ class PacketQueue:
         """The oldest packet addressed to ``destination``, without removal."""
         slots = self._old.by_dest.get(destination) or self._new.by_dest.get(destination)
         return slots[0] if slots else None
+
+    def first_for(self, destination: int, limit: int) -> list[Packet]:
+        """The ``limit`` oldest packets addressed to ``destination`` (old
+        before new), without removal — the order in which repeated
+        ``pop_any_for(destination)`` calls would return them."""
+        found: list[Packet] = []
+        if limit <= 0:
+            return found
+        buried = self._buried
+        for store in (self._old, self._new):
+            for packet in store.by_dest.get(destination, ()):
+                if id(packet) not in buried:
+                    found.append(packet)
+                    if len(found) == limit:
+                        return found
+        return found
 
     def peek_old_in(self, destinations: Iterable[int]) -> Packet | None:
         """The oldest *old* packet addressed to any of ``destinations``."""

@@ -11,6 +11,10 @@ pinned here:
 * anything short of full capability degrades gracefully — whole-run
   fallback for ineligible components, per-block fallback when the driver
   declines a block — and still matches the reference bit for bit;
+* Adjust-Window's restricted driver runs Gossip per-round and lowers its
+  Main and Auxiliary stages to arrays, across window doublings, over-L
+  dedicated windows, chunkings and split runs, and declines the Main
+  stage of a window whose gossip records disagree;
 * resolution (``auto`` → block) and the negotiation report are stable
   introspection surfaces.
 """
@@ -18,7 +22,7 @@ pinned here:
 import pytest
 
 from repro.channel.block import BlockEngine
-from repro.channel.engine import EngineConfig
+from repro.channel.engine import EngineConfig, RoundEngine
 from repro.channel.kernel import KernelEngine
 from repro.channel.packet import PacketFactory
 from repro.core.registry import make_algorithm
@@ -30,16 +34,13 @@ from repro.sim.specs import make_adversary
 #: Algorithms whose build_controllers attaches a shared block driver.
 BLOCK_CAPABLE = ["k-cycle", "k-clique", "k-subsets", "rrw", "of-rrw", "mbtf"]
 
-#: Beaconing algorithms with *restricted* drivers: they waive the
-#: silence invariant, compile their deterministic phases and decline the
-#: adaptive ones per block (Count-Hop's Report substage).
+#: Algorithms with *restricted* drivers: they waive the silence
+#: invariant, compile their deterministic phases and decline the adaptive
+#: ones per block (Count-Hop's Report substage; Adjust-Window's Main
+#: stage only when gossip records disagree).
 BLOCK_RESTRICTED = [
     ("count-hop", {"n": 6}),
     ("orchestra", {"n": 6}),
-]
-
-#: Algorithms without a block driver: whole-run kernel fallback.
-BLOCK_HOLDOUTS = [
     ("adjust-window", {"n": 4}),
 ]
 
@@ -127,10 +128,11 @@ def test_block_capable_algorithms_match_kernel_and_reference(
 def test_restricted_drivers_match_kernel_and_reference(
     algorithm, params, adversary, adversary_params
 ):
-    """Count-Hop and Orchestra compile their deterministic phases via
-    restricted drivers (silence invariant waived, acts unconditional);
-    the mix of compiled and declined blocks crosses their stage/season
-    boundaries and must stay bit-identical to the other engines."""
+    """Count-Hop, Orchestra and Adjust-Window compile their deterministic
+    phases via restricted drivers (silence invariant waived, acts
+    unconditional); the mix of compiled and declined blocks crosses their
+    stage/season boundaries and must stay bit-identical to the other
+    engines."""
     common = dict(
         algorithm=algorithm,
         algorithm_params=params,
@@ -156,7 +158,8 @@ def test_restricted_drivers_match_kernel_and_reference(
             "Report substage" in reason for reason in neg["block_decline_reasons"]
         )
     else:
-        # Orchestra has no adaptive phase: every block compiles.
+        # Orchestra has no adaptive phase and Adjust-Window's consistent
+        # gossip never trips its guard: every block compiles.
         assert neg["blocks_fallback"] == 0
         assert neg["block_decline_reasons"] == {}
     for fast in (block, kernel):
@@ -168,23 +171,35 @@ def test_restricted_drivers_match_kernel_and_reference(
         assert fast.energy.max_awake == reference.energy.max_awake
 
 
-@pytest.mark.parametrize("algorithm, params", BLOCK_HOLDOUTS)
-def test_holdout_algorithms_fall_back_whole_run(algorithm, params):
-    common = dict(
-        algorithm=algorithm,
-        algorithm_params=params,
-        adversary="round-robin",
-        adversary_params={"rho": 0.4, "beta": 2.0},
-        rounds=300,
-        enforce_energy_cap=False,
+def test_driverless_controllers_fall_back_whole_run():
+    """Controllers without a block driver never negotiate compilation:
+    the whole run degrades to the kernel loop."""
+    algorithm = make_algorithm("adjust-window", n=4)
+    adversary = make_adversary("round-robin", rho=0.4, beta=2.0)
+    adversary.bind(algorithm.n, PacketFactory())
+    controllers = algorithm.build_controllers()
+    for ctrl in controllers:
+        del ctrl.block_driver
+    engine = BlockEngine(
+        controllers, adversary, config=EngineConfig(enforce_energy_cap=False)
     )
-    block = execute_spec(RunSpec(engine="block", **common))
-    reference = execute_spec(RunSpec(engine="reference", **common))
-    assert not block.negotiation["block_compilation"], algorithm
-    assert block.negotiation["blocks_compiled"] == 0
-    assert block.negotiation["blocks_fallback"] > 0
-    assert block.summary.as_dict() == reference.summary.as_dict()
-    assert _collector_state(block.collector) == _collector_state(reference.collector)
+    engine.run(300)
+    reference = execute_spec(
+        RunSpec(
+            algorithm="adjust-window",
+            algorithm_params={"n": 4},
+            adversary="round-robin",
+            adversary_params={"rho": 0.4, "beta": 2.0},
+            rounds=300,
+            engine="reference",
+            enforce_energy_cap=False,
+        )
+    )
+    neg = engine.negotiation()
+    assert not neg["block_compilation"]
+    assert neg["blocks_compiled"] == 0
+    assert neg["blocks_fallback"] > 0
+    assert _collector_state(engine.collector) == _collector_state(reference.collector)
 
 
 def test_unplanned_adversary_falls_back_whole_run():
@@ -517,6 +532,183 @@ def test_lower_min_span_discards_short_proofs_without_changing_results():
     assert _collector_state(default.collector) == state
     assert _collector_state(picky.collector) == state
     assert eager.energy.report() == picky.energy.report()
+
+
+# ---------------------------------------------------------------------------
+# Adjust-Window: Gossip per-round, Main and Auxiliary stages lowered
+# ---------------------------------------------------------------------------
+
+#: With n=3 and initial_window=4096 every window opens with 369 Gossip
+#: rounds while L stays 4096; the first window's Main stage is
+#: [369, 1288) and its Auxiliary stage [1288, 4096), the second window's
+#: Main stage starts at 4465.
+AW_PARAMS = {"n": 3, "initial_window": 4096}
+
+#: (case, algorithm params, adversary, adversary params, rounds).
+AW_CASES = [
+    # Station 0's spray load exceeds the second window's Main stage, so
+    # the window doubles at 8192; in that window's Main stage the packets
+    # Gossip consumed leave runs short, and senders fall back to the
+    # oldest old packet of another destination, which the receiver adopts.
+    ("doubling", AW_PARAMS, "spray", {"rho": 0.9, "beta": 2.0}, 14000),
+    # A 600-packet burst at rate 1 leaves station 0 more than L old
+    # packets: the second window's Main stage is dedicated to it.
+    ("over-L", AW_PARAMS, "single-target", {"rho": 1.0, "beta": 600.0}, 9000),
+    # Four stations with random sources: a fallback chooses between the
+    # old packets of two other destinations, and a Main-stage receiver
+    # gets an arrival in the very round it adopts, which must queue ahead
+    # of the adopted packet.
+    (
+        "random-n4",
+        {"n": 4, "initial_window": 8192},
+        "random",
+        {"rho": 0.9, "beta": 2.0, "seed": 1},
+        10000,
+    ),
+]
+
+
+def _aw_common(adversary, adversary_params, params=AW_PARAMS):
+    return dict(
+        algorithm="adjust-window",
+        algorithm_params=params,
+        adversary=adversary,
+        adversary_params=adversary_params,
+    )
+
+
+def _aw_reference(common):
+    """A reference-loop engine on the same controllers and traffic."""
+    algorithm = make_algorithm(common["algorithm"], **common["algorithm_params"])
+    adversary = make_adversary(common["adversary"], **common["adversary_params"])
+    adversary.bind(algorithm.n, PacketFactory())
+    return RoundEngine(
+        algorithm.build_controllers(),
+        adversary,
+        config=EngineConfig(enforce_energy_cap=False),
+    )
+
+
+def _queues(engine):
+    """Every station's old and new packets, in queue order."""
+    return [
+        (
+            [p.packet_id for p in ctrl.queue.old_packets()],
+            [p.packet_id for p in ctrl.queue.new_packets()],
+        )
+        for ctrl in engine.controllers
+    ]
+
+
+@pytest.mark.parametrize("plan_chunk", [97, 4096])
+@pytest.mark.parametrize(
+    "params, adversary, adversary_params, rounds",
+    [case[1:] for case in AW_CASES],
+    ids=[case[0] for case in AW_CASES],
+)
+def test_adjust_window_lowered_matches_per_round_kernel_and_reference(
+    params, adversary, adversary_params, rounds, plan_chunk
+):
+    """lowered ≡ per-round blocks ≡ kernel ≡ reference, bit for bit, over
+    a window doubling, an over-L dedicated window and four-station random
+    traffic, for two chunkings."""
+    common = _aw_common(adversary, adversary_params, params)
+    lowered = _build_engine(common, BlockEngine, plan_chunk=plan_chunk)
+    per_round = _build_engine(common, BlockEngine, plan_chunk=plan_chunk)
+    per_round.lowering_enabled = False
+    kernel = _build_engine(common, KernelEngine, plan_chunk=plan_chunk)
+    reference = _aw_reference(common)
+    for engine in (lowered, per_round, kernel, reference):
+        engine.run(rounds)
+
+    neg = lowered.negotiation()
+    assert neg["block_compilation"]
+    assert neg["blocks_fallback"] == 0
+    assert lowered.lowered_rounds > rounds * 0.8
+    assert per_round.lowered_rounds == 0
+    # Every lowered segment passed the cap pre-check; none overran it.
+    assert lowered.energy.violations == 0
+    assert lowered.energy.max_awake <= 2
+    state = _collector_state(reference.collector)
+    queues = _queues(reference)
+    for engine in (lowered, per_round, kernel):
+        assert _collector_state(engine.collector) == state
+        assert engine.energy.report() == reference.energy.report()
+        assert _queues(engine) == queues
+
+
+@pytest.mark.parametrize(
+    "splits",
+    [
+        # Stops inside the first Main stage, the second (dedicated)
+        # Main stage, the second Auxiliary stage and the third (dedicated)
+        # Main stage.
+        (1000, 3600, 1000, 3400),
+        # Stops inside the first and the second Auxiliary stage and the
+        # third Main stage.
+        (2000, 4500, 2500),
+    ],
+)
+def test_adjust_window_split_runs_match_single_run(splits):
+    """run(a) then run(b) ≡ run(a + b), with stops inside lowered stages;
+    the queues match the reference loop's at every stop."""
+    common = _aw_common("single-target", {"rho": 1.0, "beta": 600.0})
+    segmented = _build_engine(common, BlockEngine)
+    reference = _aw_reference(common)
+    clock = segmented.controllers[0].clock
+    dedicated = False
+    for piece in splits:
+        segmented.run(piece)
+        reference.run(piece)
+        assert _queues(segmented) == _queues(reference)
+        layout = clock.layout
+        rel = segmented.round_no - clock.window_start
+        if layout.main_start <= rel < layout.aux_start:
+            # The over-L station owns the whole Main stage.
+            dedicated |= segmented.controllers[0]._my_send_slots == (0, layout.main_len)
+    single = _build_engine(common, BlockEngine)
+    single.run(sum(splits))
+    assert segmented.lowered_rounds > 0
+    assert _collector_state(segmented.collector) == _collector_state(single.collector)
+    assert segmented.energy.report() == single.energy.report()
+    assert _collector_state(segmented.collector) == _collector_state(
+        reference.collector
+    )
+    assert dedicated
+
+
+def _misread_below_me(ctrl, sender):
+    """Make ``ctrl`` decode ``sender``'s below-me number one too high, so
+    its receive interval starts a slot after the sender's run to it."""
+    read = ctrl._record_for
+
+    def misread(station):
+        large, over_l, size, to_me, below_me = read(station)
+        if station == sender and large:
+            below_me += 1
+        return large, over_l, size, to_me, below_me
+
+    ctrl._record_for = misread
+
+
+def test_adjust_window_guard_declines_inconsistent_main_stage():
+    """Disagreeing gossip records leave a planned receiver asleep: the
+    driver declines that Main stage (the kernel loop runs it, losing the
+    packet exactly as the reference does) and still lowers the rest."""
+    common = _aw_common("round-robin", {"rho": 0.4, "beta": 2.0})
+    block = _build_engine(common, BlockEngine)
+    reference = _aw_reference(common)
+    for engine in (block, reference):
+        _misread_below_me(engine.controllers[1], sender=0)
+        engine.run(9000)
+    reasons = block.negotiation()["block_decline_reasons"]
+    assert any("inconsistent gossip records" in reason for reason in reasons)
+    assert block.blocks_fallback > 0
+    assert block.lowered_rounds > 0
+    assert _collector_state(block.collector) == _collector_state(reference.collector)
+    assert block.energy.report() == reference.energy.report()
+    assert block.energy.violations == reference.energy.violations
+    assert _queues(block) == _queues(reference)
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,11 @@ class QueueModel(RuleBasedStateMachine):
             self.old + self.new, lambda p: p.destination == d
         )
 
+    @rule(d=dest, limit=st.integers(0, 6))
+    def first_for(self, d, limit):
+        want = [p for p in self.old + self.new if p.destination == d][:limit]
+        assert [id(p) for p in self.queue.first_for(d, limit)] == [id(p) for p in want]
+
     @rule(ds=dest_sets)
     def peeks_in(self, ds):
         assert self.queue.peek_old_in(ds) is _first(self.old, lambda p: p.destination in ds)

@@ -79,6 +79,30 @@ class TestCommands:
             if "Report substage" in line
         )
 
+    def test_run_negotiation_reports_adjust_window_lowering(self, capsys):
+        """Adjust-Window compiles blocks and lowers its Main and Auxiliary
+        stages; --negotiation shows both.  Four windows, as Table 1 runs
+        it (the backlog of the first window drains from the second on)."""
+        code = main(
+            [
+                "run",
+                "--algorithm", "adjust-window",
+                "--n", "3",
+                "--rho", "0.4",
+                "--rounds", "32768",
+                "--negotiation",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "block_compilation: True" in out
+        lowered = [
+            int(line.split(":")[1])
+            for line in out.splitlines()
+            if line.strip().startswith("lowered_rounds:")
+        ]
+        assert lowered and lowered[0] > 0
+
     def test_run_oblivious_algorithm_requires_k(self):
         with pytest.raises(SystemExit):
             main(["run", "--algorithm", "k-cycle", "--n", "9", "--rounds", "100"])
