@@ -1,8 +1,9 @@
 """Shared configuration of the benchmark harness.
 
 Each benchmark file regenerates one artefact of the paper's evaluation
-(a Table 1 row, an impossibility theorem or a figure-style sweep); see the
-experiment index in DESIGN.md and the measured results in EXPERIMENTS.md.
+(a Table 1 row, an impossibility theorem or a figure-style sweep) through
+the ``experiment_*``/``figure_*`` functions of :mod:`repro.sim.experiments`;
+figure series and ablation tables land in ``benchmarks/results/``.
 
 The simulations are deterministic, so every benchmark runs its experiment
 exactly once (``rounds=1, iterations=1``) and asserts the qualitative

@@ -3,8 +3,9 @@
 
 Runs one scaled-down experiment per Table 1 row (algorithms and
 impossibility results) and prints the comparison table.  The full-size
-versions live in ``benchmarks/`` and their measured values are recorded in
-EXPERIMENTS.md; this script finishes in a couple of minutes on a laptop.
+versions live in ``benchmarks/test_bench_table1_rows.py`` (and
+``python -m repro table1 --full``); this script finishes in a couple of
+minutes on a laptop.
 
 Run with:  python examples/regenerate_table1.py [--full]
 """

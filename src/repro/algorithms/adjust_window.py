@@ -38,7 +38,9 @@ plans and Auxiliary pair sweep.
 Paper bound (Theorem 4): universal — for every injection rate ``rho < 1``
 the latency is O((n^3 log^2 n + beta) / (1 - rho)) for sufficiently large
 ``n``.  At small ``n`` the additive ``n^3 log L`` stage lengths dominate
-the constant in front of the bound; see EXPERIMENTS.md.
+the constant in front of the bound;
+:func:`repro.sim.experiments.experiment_adjust_window_latency` computes
+the structural bound its Table 1 check compares against.
 """
 
 from __future__ import annotations

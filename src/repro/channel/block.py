@@ -44,12 +44,19 @@ The span's injections are no obstacle: they come from the adversary's
 plan, so the driver simulates the arrivals too (referencing the
 to-be-created packets by plan index) and only cuts the segment when an
 injection actually invalidates its closed form — e.g. a restricted
-driver whose phase schedule was fixed from queue state.  The engine
-materialises the span's packets (in plan order, preserving packet-id
-assignment) only *after* accepting a segment, so a rejected segment
-(None, or a failed energy-cap pre-check) leaves no trace and the same
-rounds re-run through the per-round path.  Results are bit-identical to
-both other engines; the equivalence property suites enforce it.
+driver whose phase schedule was fixed from queue state.
+:meth:`BlockEngine._commit_segment` materialises the span's packets (in
+plan order, preserving packet-id assignment) only *after* accepting a
+segment, so a rejected segment (None, too short, or a failed energy-cap
+pre-check) leaves no trace and the same rounds re-run through the
+per-round path; and it creates them before touching any other state, so
+a packet factory that raises mid-commit leaves the engine at the
+segment's start, resumable like the kernel.  Results are bit-identical
+to both other engines; the equivalence property suites enforce it.
+
+The compiled loop shares the kernel's plan fetch, quiescent-span
+elision, static-tier counts and end-of-call reconciliation (see
+:mod:`repro.channel.kernel`).
 """
 
 from __future__ import annotations
@@ -62,14 +69,13 @@ import numpy as np
 from .._accel import count_transmitting, per_station_flow, segment_round_totals
 from .energy import EnergyCapViolation
 from .engine import EngineConfig, check_message
-from .feedback import ChannelOutcome
 from .kernel import KernelEngine
 from .message import Message
 from .station import StationController
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..adversary.base import Adversary
-    from ..core.blocks import RoundBlockDriver
+    from ..adversary.base import Adversary, InjectionPlan
+    from ..core.blocks import LoweredSegment, RoundBlockDriver
     from ..core.schedule import ObliviousSchedule
     from ..metrics.collector import MetricsCollector
 
@@ -231,10 +237,12 @@ class BlockEngine(KernelEngine):
     def _run_block(self, start: int, stop: int) -> None:
         """Drive rounds ``[start, stop)`` through the compiled loop.
 
-        Mirrors the kernel loop's 8 steps and its finally-block
-        reconciliation, with the per-round fan-out replaced by the
-        driver's single-transmitter protocol.  Aggregate counters stay
-        consistent on exceptions, exactly as in the kernel.
+        The kernel loop's steps with the per-round fan-out replaced by the
+        driver's single-transmitter protocol; quiescent spans, the static
+        tier's counts and the final reconciliation go through the
+        kernel's shared methods, and proved spans through
+        :meth:`_commit_segment`.  Aggregate counters stay consistent on
+        exceptions, exactly as in the kernel.
         """
         driver = self._driver
         collector = self.collector
@@ -262,196 +270,68 @@ class BlockEngine(KernelEngine):
         queue_sizes = self._queue_sizes
         total_queue = self._total_queue
         silence_capable = self._silence_capable
-        advance_silent = (
-            [ctrl.advance_silent_span for ctrl in self.controllers]
-            if silence_capable
-            else ()
-        )
-        record_queue_span = collector.record_queue_span
-        observe_span = energy.observe_span
         energy_per_round = energy.per_round
         total_queue_series = collector.total_queue_series
-        energy_series = collector.energy_series
         per_station_max = collector.per_station_max_queue
         cap = energy.cap
+        cap_limit = self.n if cap is None else cap
         enforce_cap = energy.enforce
-        silence = ChannelOutcome.SILENCE
-        heard_outcome = ChannelOutcome.HEARD
         transmitter = driver.transmitter
         silent_round = driver.silent_round
         heard_round = driver.heard_round
-        advance_span = driver.advance_span
         lower_segment = driver.lower_segment
         act_unconditional = self._act_unconditional
         # The lowered path bypasses per-message validation, so checked
         # configurations (plain-packet or control-bit budgets) keep the
         # per-round loop, where check_message runs for every message.
         lowering = self.lowering_enabled and not checked_messages
-        lower_min_span = self.lower_min_span
         next_probe = start
         n_silence = n_heard = 0
-        rounds_done = 0
-        # Per-call energy accumulators, folded into the monitor once in
-        # the ``finally`` — recomputing sum/max over the monitor's whole
-        # history per block would be quadratic across many short blocks.
-        run_station_rounds = 0
-        run_peak_awake = 0
-        counts_list: list[int] | None = None
-        energized = 0
-        if period is not None and self._period_counts is not None and stop > start:
-            counts_list = self._period_counts[
-                np.arange(start, stop, dtype=np.int64) % period_len
-            ].tolist()
+        t = energized = start
+        mark = len(energy_per_round)
+        counts_list = self._static_counts(start, stop)
 
         plan = self._next_plan(start, stop)
         plan_offsets = plan.offsets
         plan_sources = plan.sources
         plan_destinations = plan.destinations
         plan_base = plan.start
-        plan_stop = plan.stop
         try:
-            t = start
             while t < stop:
-                # 0. Quiescent-span elision (same conditions and
-                #    bookkeeping as the kernel; the driver's advance_span
-                #    hook additionally keeps any canonical state current).
+                # 0. Quiescent-span elision (the kernel's, with the
+                #    driver's advance_span hook keeping any canonical
+                #    state current).
                 if silence_capable and total_queue == 0:
-                    plan_nonzero = plan.injection_rounds()
-                    pos = bisect_left(plan_nonzero, t)
-                    next_injection = (
-                        plan_nonzero[pos] if pos < len(plan_nonzero) else plan_stop
+                    span_end = self._elide_span(
+                        t, stop, plan, counts_list, driver.advance_span
                     )
-                    span_end = next_injection if next_injection < stop else stop
-                    span_counts: np.ndarray | None = None
                     if span_end > t:
-                        if counts_list is not None:
-                            eligible = True
-                        else:
-                            span_counts = oracle.quiescent_awake_counts(t, span_end)
-                            eligible = span_counts is not None and (
-                                cap is None or int(span_counts.max()) <= cap
-                            )
-                            if not eligible:
-                                silence_capable = False
-                                self._silence_capable = False
-                        if eligible:
-                            span = span_end - t
-                            for advance in advance_silent:
-                                advance(t, span_end)
-                            advance_span(t, span_end)
-                            if counts_list is not None:
-                                energized += span
-                            else:
-                                oracle.advance_span(t, span_end)
-                                span_ints = span_counts.tolist()
-                                observe_span(span_ints)
-                                energy_series.extend(span_ints)
-                            record_queue_span(total_queue, span)
-                            n_silence += span
-                            rounds_done += span
-                            self.quiescent_rounds_elided += span
-                            t = span_end
-                            continue
+                        n_silence += span_end - t
+                        t = span_end
+                        continue
+                    silence_capable = self._silence_capable
 
                 # 0b. Segment lowering: ask the driver to prove a span —
                 #     planned injections included — in closed form and
-                #     execute it with the vectorised kernels.  Rejections
-                #     (None, or a failed cap pre-check) back off to the
-                #     per-round protocol below and re-probe later; no
-                #     packets are materialised before acceptance, so a
-                #     rejection leaves no trace.
+                #     commit it with the vectorised kernels.  Rejections
+                #     (None, too short, or a failed cap pre-check) run the
+                #     rounds per-round below and re-probe later; nothing
+                #     is materialised before acceptance, so a rejection
+                #     leaves no trace.
                 if lowering and t >= next_probe:
                     seg = lower_segment(t, stop, plan)
                     if seg is None:
                         next_probe = t + _LOWER_PROBE_BACKOFF
-                    elif seg.start != t or not t < seg.stop <= stop:
-                        raise ValueError(
-                            f"driver lowered [{seg.start}, {seg.stop}) "
-                            f"for requested span [{t}, {stop})"
-                        )
-                    elif seg.stop - t < lower_min_span:
-                        # Too short to amortise the commit cost: run the
-                        # proved span per-round and re-probe at its end.
-                        next_probe = seg.stop
                     else:
-                        seg_counts = seg.awake_counts
-                        if period is not None:
-                            # Static tier: cap-safe batch counts required
-                            # (without them the per-round path owns the
-                            # cap accounting and must raise at the exact
-                            # violating round).
-                            cap_safe = counts_list is not None
-                        else:
-                            cap_safe = seg_counts is not None and (
-                                cap is None
-                                or not seg_counts.shape[0]
-                                or int(seg_counts.max()) <= cap
-                            )
-                        if not cap_safe:
-                            next_probe = seg.stop
-                        else:
-                            span = seg.stop - t
-                            values = seg.delta_values
-                            heard = count_transmitting(seg.transmitters)
+                        next_probe = seg.stop
+                        committed = self._commit_segment(
+                            seg, t, stop, plan, counts_list, total_queue
+                        )
+                        if committed is not None:
+                            heard, total_queue = committed
                             n_heard += heard
-                            n_silence += span - heard
-                            totals = segment_round_totals(
-                                seg.delta_offsets, values, total_queue
-                            )
-                            collector.record_round_totals(totals.tolist())
-                            if values.shape[0]:
-                                base = np.asarray(queue_sizes, dtype=np.int64)
-                                sizes, peaks = per_station_flow(
-                                    seg.delta_stations, values, base
-                                )
-                                for i in np.unique(seg.delta_stations).tolist():
-                                    queue_sizes[i] = int(sizes[i])
-                                    if peaks[i] > per_station_max[i]:
-                                        per_station_max[i] = int(peaks[i])
-                                total_queue = int(totals[-1])
-                            if counts_list is not None:
-                                energized += span
-                            else:
-                                span_ints = seg_counts.tolist()
-                                observe_span(span_ints)
-                                energy_series.extend(span_ints)
-                            # Materialise the span's planned injections in
-                            # plan order — identical packet-id assignment
-                            # to the per-round path — then resolve the
-                            # plan-index delivery references against them.
-                            j0 = plan_offsets[t - plan_base]
-                            j1 = plan_offsets[seg.stop - plan_base]
-                            packets: list = []
-                            if j1 > j0:
-                                plan_nonzero = plan.injection_rounds()
-                                pos = bisect_left(plan_nonzero, t)
-                                while (
-                                    pos < len(plan_nonzero)
-                                    and plan_nonzero[pos] < seg.stop
-                                ):
-                                    r = plan_nonzero[pos]
-                                    rel = r - plan_base
-                                    for j in range(
-                                        plan_offsets[rel], plan_offsets[rel + 1]
-                                    ):
-                                        packet = factory_make(
-                                            destination=plan_destinations[j],
-                                            injected_at=r,
-                                            origin=plan_sources[j],
-                                        )
-                                        record_injection(packet, r)
-                                        packets.append(packet)
-                                    pos += 1
-                            for rnd, delivered in seg.deliveries:
-                                if type(delivered) is int:
-                                    delivered = packets[delivered - j0]
-                                record_delivery(delivered, delivered.destination, rnd)
-                            seg.commit(packets)
-                            rounds_done += span
-                            self.lowered_segments += 1
-                            self.lowered_rounds += span
+                            n_silence += seg.stop - t - heard
                             t = seg.stop
-                            next_probe = t
                             continue
 
                 # 1. Adversarial injections (plan slices; block capability
@@ -459,9 +339,10 @@ class BlockEngine(KernelEngine):
                 rel = t - plan_base
                 lo = plan_offsets[rel]
                 hi = plan_offsets[rel + 1]
-                injected: list[int] | None = None
-                if lo != hi:
-                    injected = []
+                if lo == hi:
+                    injected = ()
+                else:
+                    injected = plan_sources[lo:hi]
                     for j in range(lo, hi):
                         station = plan_sources[j]
                         packet = factory_make(
@@ -471,34 +352,22 @@ class BlockEngine(KernelEngine):
                         )
                         inject_into[station](t, packet)
                         record_injection(packet, t)
-                        injected.append(station)
 
                 # 2. On/off decisions and energy accounting.
                 if period is not None:
-                    if counts_list is not None:
-                        energized += 1
-                    else:
-                        awake_count = len(period[t % period_len])
-                        energy_per_round.append(awake_count)
-                        run_station_rounds += awake_count
-                        if awake_count > run_peak_awake:
-                            run_peak_awake = awake_count
-                        if cap is not None and awake_count > cap:
-                            energy.violations += 1
-                            if enforce_cap:
-                                raise EnergyCapViolation(t, awake_count, cap)
+                    awake = period[t % period_len]
                 else:
                     oracle_tick(t)
                     awake = oracle_awake(t)
+                if counts_list is None:
                     awake_count = len(awake)
                     energy_per_round.append(awake_count)
-                    run_station_rounds += awake_count
-                    if awake_count > run_peak_awake:
-                        run_peak_awake = awake_count
-                    if cap is not None and awake_count > cap:
+                    if awake_count > cap_limit:
                         energy.violations += 1
                         if enforce_cap:
                             raise EnergyCapViolation(t, awake_count, cap)
+                else:
+                    energized = t + 1
 
                 # 3+4. Single-candidate act and arbitration: only the
                 #      token holder may transmit, and an empty holder
@@ -509,9 +378,7 @@ class BlockEngine(KernelEngine):
                 #      algorithms transmit with empty queues).
                 s = transmitter(t)
                 message: Message | None = None
-                if s >= 0 and (
-                    act_unconditional or queue_sizes[s] > 0 or injected is not None
-                ):
+                if s >= 0 and (act_unconditional or queue_sizes[s] > 0 or injected):
                     message = act[s](t)
 
                 # 5+6. Delivery bookkeeping and feedback effects, applied
@@ -542,15 +409,7 @@ class BlockEngine(KernelEngine):
 
                 # 7. Metrics: re-poll only stations whose queues can have
                 #    changed (driver-reported plus this round's injectees).
-                if injected is not None:
-                    for station in injected:
-                        size = poll[station]()
-                        if size != queue_sizes[station]:
-                            total_queue += size - queue_sizes[station]
-                            queue_sizes[station] = size
-                            if size > per_station_max[station]:
-                                per_station_max[station] = size
-                for i in changed:
+                for i in (*changed, *injected) if injected else changed:
                     size = poll[i]()
                     if size != queue_sizes[i]:
                         total_queue += size - queue_sizes[i]
@@ -558,34 +417,94 @@ class BlockEngine(KernelEngine):
                         if size > per_station_max[i]:
                             per_station_max[i] = size
                 total_queue_series.append(total_queue)
-                if counts_list is None:
-                    energy_series.append(awake_count)
-                rounds_done += 1
                 # (8. View maintenance: block capability implies an
                 #  oblivious adversary — there is no view to update.)
                 t += 1
         finally:
-            self.round_no += rounds_done
-            self._total_queue = total_queue
-            if self._plan_state is not None and self.round_no >= self._plan_state.stop:
-                self._plan_state = None
-            if counts_list is not None:
-                flushed = counts_list[:energized]
-                energy_per_round.extend(flushed)
-                run_station_rounds += sum(flushed)
-                if flushed:
-                    peak = max(flushed)
-                    if peak > run_peak_awake:
-                        run_peak_awake = peak
-                collector.record_energy_series(counts_list[:rounds_done])
-            collector.rounds_observed += rounds_done
-            counts = collector.outcome_counts
-            for outcome, count in ((silence, n_silence), (heard_outcome, n_heard)):
-                if count:
-                    counts[outcome] = counts.get(outcome, 0) + count
-            # The span paths (quiescent elision, lowered segments) fold
-            # their counts in through EnergyMonitor.observe_span; this
-            # covers the per-round appends and the static-tier flush.
-            energy.total_station_rounds += run_station_rounds
-            if run_peak_awake > energy.max_awake:
-                energy.max_awake = run_peak_awake
+            self._reconcile(
+                start, t, mark, counts_list, energized, total_queue,
+                (n_silence, n_heard, 0),
+            )
+
+    def _commit_segment(
+        self,
+        seg: "LoweredSegment",
+        t: int,
+        stop: int,
+        plan: "InjectionPlan",
+        static_counts: list[int] | None,
+        total_queue: int,
+    ) -> tuple[int, int] | None:
+        """Commit a lowered segment proved for ``[t, stop)``, all or nothing.
+
+        Returns ``(heard rounds, total queue after the span)``, or None
+        when the segment is declined untouched: shorter than
+        :attr:`lower_min_span`, or failing the energy-cap pre-check.  On
+        the static tier that needs the cap-safe batch counts (without them
+        the per-round path owns the cap accounting and must raise at the
+        exact violating round); on the ticked tier the segment's own
+        counts must respect the cap.  The span's planned injections are
+        created first — in plan order, so packet ids match the per-round
+        path — because the packet factory is the one step that can fail:
+        a raise leaves the engine at ``t`` with its plan remainder cached
+        for replay.  Then the queue series, per-station maxima, energy,
+        injections, deliveries (plan-index references resolved against
+        the new packets) and the driver's state are committed.
+        """
+        if seg.start != t or not t < seg.stop <= stop:
+            raise ValueError(
+                f"driver lowered [{seg.start}, {seg.stop}) "
+                f"for requested span [{t}, {stop})"
+            )
+        if seg.stop - t < self.lower_min_span:
+            return None
+        counts = seg.awake_counts
+        cap = self.energy.cap
+        if self._period_awake is not None:
+            cap_safe = static_counts is not None
+        else:
+            cap_safe = counts is not None and (
+                cap is None or not counts.shape[0] or int(counts.max()) <= cap
+            )
+        if not cap_safe:
+            return None
+        make = self.adversary.factory.make
+        offsets = plan.offsets
+        sources = plan.sources
+        destinations = plan.destinations
+        base = plan.start
+        rounds = plan.injection_rounds()
+        packets = [
+            make(destination=destinations[j], injected_at=r, origin=sources[j])
+            for r in rounds[bisect_left(rounds, t) : bisect_left(rounds, seg.stop)]
+            for j in range(offsets[r - base], offsets[r - base + 1])
+        ]
+
+        collector = self.collector
+        values = seg.delta_values
+        totals = segment_round_totals(seg.delta_offsets, values, total_queue)
+        collector.record_round_totals(totals.tolist())
+        if values.shape[0]:
+            queue_sizes = self._queue_sizes
+            per_station_max = collector.per_station_max_queue
+            sizes, peaks = per_station_flow(
+                seg.delta_stations, values, np.asarray(queue_sizes, dtype=np.int64)
+            )
+            for i in np.unique(seg.delta_stations).tolist():
+                queue_sizes[i] = int(sizes[i])
+                if peaks[i] > per_station_max[i]:
+                    per_station_max[i] = int(peaks[i])
+            total_queue = int(totals[-1])
+        if static_counts is None:
+            self.energy.per_round.extend(counts.tolist())
+        for packet in packets:
+            collector.record_injection(packet, packet.injected_at)
+        j0 = offsets[t - base]
+        for rnd, delivered in seg.deliveries:
+            if type(delivered) is int:
+                delivered = packets[delivered - j0]
+            collector.record_delivery(delivered, delivered.destination, rnd)
+        seg.commit(packets)
+        self.lowered_segments += 1
+        self.lowered_rounds += seg.stop - t
+        return count_transmitting(seg.transmitters), total_queue

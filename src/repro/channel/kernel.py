@@ -55,6 +55,16 @@ SILENCE and COLLISION rounds reuse interned singletons, HEARD rounds
 recycle one instance in-place (guarded by a refcount check, so a
 controller that retains feedback is never surprised).
 
+The block engine (:class:`~repro.channel.block.BlockEngine`) subclasses
+the kernel, and the bookkeeping both loops need exists once, here, as
+methods both call: injection-plan fetch and replay (``_next_plan``), the
+static tier's per-call awake-count series (``_static_counts``),
+quiescent-span elision (``_elide_span``) and the end-of-call
+reconciliation of energy, collector and outcome counters
+(``_reconcile``).  Per-round steps stay inline in each loop: one
+energy-accounting branch once the awake set is known, and one re-poll
+loop over the stations whose queues can have changed.
+
 The kernel allocates no per-round event objects and therefore cannot
 record traces — tracing (and any need for the fully observable, checked
 loop) is what :class:`RoundEngine` remains for.  A property test asserts
@@ -65,7 +75,7 @@ reference loop is the oracle.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -213,8 +223,7 @@ class KernelEngine:
         )
         self._queue_sizes = [ctrl.queued_packets() for ctrl in self.controllers]
         self._total_queue = sum(self._queue_sizes)
-        if self._incremental_metrics:
-            self.collector.begin_stations(self.n)
+        self.collector.begin_stations(self.n)
 
         # -- negotiation: quiescence skipping ----------------------------------
         # Eliding a span requires knowing, without running the adversary,
@@ -301,7 +310,7 @@ class KernelEngine:
             "quiescent_rounds_elided": self.quiescent_rounds_elided,
         }
 
-    # -- chunked plan management (shared with the block engine) ---------------
+    # -- bookkeeping shared with the block engine -----------------------------
     def _next_plan(self, t: int, stop: int) -> "InjectionPlan":
         """The injection plan covering round ``t``, fetching if necessary.
 
@@ -319,15 +328,129 @@ class KernelEngine:
         self._plan_state = plan
         return plan
 
+    def _static_counts(self, start: int, stop: int) -> list[int] | None:
+        """Awake counts of rounds ``[start, stop)`` on the cap-safe static tier.
+
+        When the schedule's per-period counts can never exceed the cap
+        (or there is none), no loop counts, checks or appends energy per
+        round: this series is flushed once by :meth:`_reconcile`.
+        Returns None on every other tier.
+        """
+        if self._period_counts is None or stop <= start:
+            return None
+        period_len = len(self._period_awake)
+        return self._period_counts[
+            np.arange(start, stop, dtype=np.int64) % period_len
+        ].tolist()
+
+    def _elide_span(
+        self,
+        t: int,
+        stop: int,
+        plan: "InjectionPlan",
+        static_counts: list[int] | None,
+        advance_driver: Callable[[int, int], None] | None = None,
+    ) -> int:
+        """Elide the quiescent span from ``t`` to the next planned injection.
+
+        Requires every queue to be empty and the silence invariant: the
+        rounds up to the plan's next injection round (capped at ``stop``)
+        are then silent and state-predictable.  Controllers fast-forward
+        via ``advance_silent_span``, then ``advance_driver`` (the block
+        engine's driver hook) and the wake oracle via ``advance_span``;
+        the span's flat queue series and (ticked tier) awake counts are
+        flushed as batch appends.  Returns the first round not elided —
+        ``t`` when nothing was.  An oracle that cannot give cap-safe
+        counts disables elision for good: the counts are a pure function
+        of the round window, so re-probing would never succeed.
+        """
+        nonzero = plan.injection_rounds()
+        pos = bisect_left(nonzero, t)
+        span_end = min(nonzero[pos] if pos < len(nonzero) else plan.stop, stop)
+        if span_end <= t:
+            return t
+        span_counts = None
+        if static_counts is None:
+            span_counts = self._wake_oracle.quiescent_awake_counts(t, span_end)
+            cap = self.energy.cap
+            if span_counts is None or (cap is not None and int(span_counts.max()) > cap):
+                self._silence_capable = False
+                return t
+        for ctrl in self.controllers:
+            ctrl.advance_silent_span(t, span_end)
+        if advance_driver is not None:
+            advance_driver(t, span_end)
+        if span_counts is not None:
+            self._wake_oracle.advance_span(t, span_end)
+            self.energy.per_round.extend(span_counts.tolist())
+        self.collector.record_queue_span(0, span_end - t)
+        self.quiescent_rounds_elided += span_end - t
+        return span_end
+
+    def _reconcile(
+        self,
+        start: int,
+        t: int,
+        mark: int,
+        static_counts: list[int] | None,
+        energized: int,
+        total_queue: int,
+        outcomes: tuple[int, int, int],
+    ) -> None:
+        """Fold one loop call's local state back in (exceptions included).
+
+        Rounds ``[start, t)`` completed; ``mark`` is the energy monitor's
+        series length at ``start``.  The monitor keeps every round that
+        reached step 2 (energy accounting), the round an exception
+        aborted included; the collector keeps completed rounds only —
+        exactly what the reference loop's per-round calls would have
+        recorded.  On the static tier the loop appended nothing, so
+        ``static_counts`` is flushed up to ``max(energized, t)``, where
+        ``energized`` is one past the last round that reached step 2.
+        ``outcomes`` are the call's (silence, heard, collision) counts,
+        in :class:`ChannelOutcome` order.
+        """
+        done = t - start
+        self.round_no = t
+        self._total_queue = total_queue
+        plan = self._plan_state
+        if plan is not None and t >= plan.stop:
+            # Fully consumed; only aborted runs leave a remainder for the
+            # next call to replay.
+            self._plan_state = None
+        if self._scheduled_view:
+            # Bring the lazily maintained history ring current so
+            # post-run inspection sees the window the incremental path
+            # would have left behind.
+            self.view.flush_window()
+        energy = self.energy
+        if static_counts is not None:
+            energy.per_round.extend(static_counts[: max(energized, t) - start])
+        # Per-call folding: summing the monitor's whole history per call
+        # would be quadratic across many short calls (block fallbacks).
+        added = energy.per_round[mark:]
+        if added:
+            energy.total_station_rounds += sum(added)
+            peak = max(added)
+            if peak > energy.max_awake:
+                energy.max_awake = peak
+        collector = self.collector
+        collector.energy_series.extend(added if len(added) == done else added[:done])
+        collector.rounds_observed += done
+        tally = collector.outcome_counts
+        for outcome, count in zip(ChannelOutcome, outcomes):
+            if count:
+                tally[outcome] = tally.get(outcome, 0) + count
+
     # -- main loop ------------------------------------------------------------
     def run(self, rounds: int) -> None:
         """Simulate ``rounds`` further rounds.
 
-        The loop body keeps every per-round quantity in locals and flushes
-        aggregate counters (energy totals, outcome counts, rounds
-        observed) once at the end — also on exceptions, so partial state
-        stays consistent with what the reference loop would have recorded
-        up to the failing round.
+        The loop body keeps every per-round quantity in locals;
+        :meth:`_reconcile` flushes the aggregate counters (energy totals,
+        outcome counts, rounds observed) once at the end — also on
+        exceptions, so partial state stays consistent with what the
+        reference loop would have recorded up to the failing round.
         """
         controllers = self.controllers
         adversary = self.adversary
@@ -342,6 +465,7 @@ class KernelEngine:
         oracle_awake = oracle.awake_stations if oracle is not None else None
         incremental = self._incremental_metrics
         heard_only_polls = self._heard_only_polls
+        all_stations = range(self.n)
         observe_view = self._observe_view
         scheduled_view = self._scheduled_view
         observe_scheduled = view.observe_scheduled if scheduled_view else None
@@ -368,49 +492,27 @@ class KernelEngine:
         record_injection = collector.record_injection
         inject = adversary.inject
         silence_capable = self._silence_capable
-        advance_silent = (
-            [ctrl.advance_silent_span for ctrl in controllers]
-            if silence_capable
-            else ()
-        )
-        record_queue_span = collector.record_queue_span
-        observe_span = energy.observe_span
         pool = self._feedback_pool
         pool_heard = pool.heard
         silence_feedback = pool.silence()
         collision_feedback = pool.collision()
         # Collector/monitor internals, appended to directly in the loop;
-        # their aggregate counters are reconciled in the finally block.
+        # _reconcile folds the aggregates in.
         energy_per_round = energy.per_round
         total_queue_series = collector.total_queue_series
-        energy_series = collector.energy_series
         per_station_max = collector.per_station_max_queue
         cap = energy.cap
+        # No round has more than n awake stations, so n stands in for "no cap".
+        cap_limit = n if cap is None else cap
         enforce_cap = energy.enforce
         silence = ChannelOutcome.SILENCE
         heard_outcome = ChannelOutcome.HEARD
         collision = ChannelOutcome.COLLISION
         n_silence = n_heard = n_collision = 0
-        rounds_done = 0
-        # Per-call energy accumulators, folded into the monitor once in
-        # the ``finally`` — recomputing sum/max over the monitor's whole
-        # history per call would be quadratic across many resumed runs
-        # (e.g. as the block engine's per-block fallback).
-        run_station_rounds = 0
-        run_peak_awake = 0
-        # Vectorised energy bookkeeping (schedule fast path, cap-safe):
-        # the whole run's awake counts are materialised once from the
-        # per-period numpy series and flushed in the finally block.
-        # ``energized`` mirrors the reference loop's accounting point
-        # (step 2): the round that raises after it still has its count
-        # recorded in the energy monitor, but not in the collector.
-        counts_list: list[int] | None = None
-        energized = 0
-        if period is not None and self._period_counts is not None and rounds > 0:
-            start = self.round_no
-            counts_list = self._period_counts[
-                np.arange(start, start + rounds, dtype=np.int64) % period_len
-            ].tolist()
+        start = t = energized = self.round_no
+        end = start + rounds
+        mark = len(energy_per_round)
+        counts_list = self._static_counts(start, end)
 
         # Chunked machinery: injection plans are fetched (and the
         # schedule-backed view's history ring refreshed) every ``chunk``
@@ -418,9 +520,7 @@ class KernelEngine:
         # it starts at the current round so the first loop iteration pulls
         # a plan through _next_plan — which transparently replays the
         # cached remainder of a chunk an earlier run() aborted inside.
-        end = self.round_no + rounds
-        next_chunk = self.round_no
-        no_injections: tuple = ()
+        next_chunk = start
         plan: "InjectionPlan | None" = None
         plan_offsets: list[int] = []
         plan_sources: list[int] = []
@@ -428,7 +528,6 @@ class KernelEngine:
         plan_base = 0
 
         try:
-            t = self.round_no
             while t < end:
                 # 1. Adversarial injections (stations receive packets even
                 #    when off).  Planning adversaries are consumed as
@@ -443,65 +542,19 @@ class KernelEngine:
                         plan_base = plan.start
                         next_chunk = plan.stop
                     if silence_capable and total_queue == 0:
-                        # -- quiescent-span fast path: with every queue
-                        # empty and the silence invariant declared, all
-                        # rounds up to the chunk's next injection are
-                        # silent and state-predictable — elide them in
-                        # one step instead of looping.
-                        plan_nonzero = plan.injection_rounds()
-                        pos = bisect_left(plan_nonzero, t)
-                        next_injection = (
-                            plan_nonzero[pos]
-                            if pos < len(plan_nonzero)
-                            else next_chunk
-                        )
-                        span_end = next_injection if next_injection < end else end
-                        span_counts: np.ndarray | None = None
+                        span_end = self._elide_span(t, end, plan, counts_list)
                         if span_end > t:
-                            if counts_list is not None:
-                                # Static tier: per-round counts flush from
-                                # the precomputed (cap-safe) series in the
-                                # finally block.
-                                eligible = True
-                            else:
-                                span_counts = oracle.quiescent_awake_counts(
-                                    t, span_end
-                                )
-                                eligible = span_counts is not None and (
-                                    cap is None or int(span_counts.max()) <= cap
-                                )
-                                if not eligible:
-                                    # Sticky rejection: the counts are a
-                                    # pure function of the round window,
-                                    # so re-probing every quiescent round
-                                    # would rebuild O(span) arrays without
-                                    # ever succeeding.
-                                    silence_capable = False
-                                    self._silence_capable = False
-                            if eligible:
-                                span = span_end - t
-                                for advance in advance_silent:
-                                    advance(t, span_end)
-                                if counts_list is not None:
-                                    energized += span
-                                else:
-                                    oracle.advance_span(t, span_end)
-                                    span_ints = span_counts.tolist()
-                                    observe_span(span_ints)
-                                    energy_series.extend(span_ints)
-                                record_queue_span(total_queue, span)
-                                n_silence += span
-                                rounds_done += span
-                                self.quiescent_rounds_elided += span
-                                t = span_end
-                                continue
+                            n_silence += span_end - t
+                            t = span_end
+                            continue
+                        silence_capable = self._silence_capable
                     rel = t - plan_base
                     lo = plan_offsets[rel]
                     hi = plan_offsets[rel + 1]
                     if lo == hi:
-                        injections = no_injections
+                        injected = ()
                     else:
-                        injections = []
+                        injected = plan_sources[lo:hi]
                         for j in range(lo, hi):
                             station = plan_sources[j]
                             packet = factory_make(
@@ -511,7 +564,6 @@ class KernelEngine:
                             )
                             inject_into[station](t, packet)
                             record_injection(packet, t)
-                            injections.append((station, packet))
                 else:
                     if observe_view:
                         view.round_no = t
@@ -531,39 +583,27 @@ class KernelEngine:
                             )
                         inject_into[station](t, packet)
                         record_injection(packet, t)
+                    injected = [station for station, _ in injections]
 
                 # 2. On/off decisions and energy accounting.
                 if period is not None:
                     awake = period[t % period_len]
-                    if counts_list is not None:
-                        energized += 1
-                    else:
-                        awake_count = len(awake)
-                        energy_per_round.append(awake_count)
-                        run_station_rounds += awake_count
-                        if awake_count > run_peak_awake:
-                            run_peak_awake = awake_count
-                        if cap is not None and awake_count > cap:
-                            energy.violations += 1
-                            if enforce_cap:
-                                raise EnergyCapViolation(t, awake_count, cap)
+                elif oracle_tick is not None:
+                    oracle_tick(t)
+                    awake = oracle_awake(t)
                 else:
-                    if oracle_tick is not None:
-                        oracle_tick(t)
-                        awake = oracle_awake(t)
-                    else:
-                        awake = tuple(
-                            i for i, ctrl in enumerate(controllers) if ctrl.wakes(t)
-                        )
+                    awake = tuple(
+                        i for i, ctrl in enumerate(controllers) if ctrl.wakes(t)
+                    )
+                if counts_list is None:
                     awake_count = len(awake)
                     energy_per_round.append(awake_count)
-                    run_station_rounds += awake_count
-                    if awake_count > run_peak_awake:
-                        run_peak_awake = awake_count
-                    if cap is not None and awake_count > cap:
+                    if awake_count > cap_limit:
                         energy.violations += 1
                         if enforce_cap:
                             raise EnergyCapViolation(t, awake_count, cap)
+                else:
+                    energized = t + 1
 
                 # 3. Awake stations act, 4. channel arbitration (fused).
                 transmissions = 0
@@ -618,50 +658,27 @@ class KernelEngine:
                 # sole owner next round and can recycle the instance.
                 feedback = None
 
-                # 7. Metrics: queue sizes after the round.
-                if incremental:
-                    for station, _ in injections:
-                        if station not in awake:
-                            size = poll[station]()
-                            if size != queue_sizes[station]:
-                                total_queue += size - queue_sizes[station]
-                                queue_sizes[station] = size
-                                if size > per_station_max[station]:
-                                    per_station_max[station] = size
-                    if outcome is heard_outcome or not heard_only_polls:
-                        for i in awake:
-                            size = poll[i]()
-                            if size != queue_sizes[i]:
-                                total_queue += size - queue_sizes[i]
-                                queue_sizes[i] = size
-                                if size > per_station_max[i]:
-                                    per_station_max[i] = size
-                    elif injections:
-                        # Heard-only capability: silent/collision rounds can
-                        # still grow awake queues via injections.
-                        for station, _ in injections:
-                            if station in awake:
-                                size = poll[station]()
-                                if size != queue_sizes[station]:
-                                    total_queue += size - queue_sizes[station]
-                                    queue_sizes[station] = size
-                                    if size > per_station_max[station]:
-                                        per_station_max[station] = size
-                    total_queue_series.append(total_queue)
-                    if counts_list is None:
-                        energy_series.append(awake_count)
+                # 7. Metrics: re-poll the stations whose queue size can
+                #    have changed — every station without incremental
+                #    metrics; otherwise the awake set (heard rounds only
+                #    under the heard-only capability) plus the injectees.
+                if not incremental:
+                    polled = all_stations
                 else:
-                    queue_sizes = [p() for p in poll]
-                    total_queue = sum(queue_sizes)
-                    collector.begin_stations(n)
-                    per_station_max = collector.per_station_max_queue
-                    for i, size in enumerate(queue_sizes):
+                    if outcome is heard_outcome or not heard_only_polls:
+                        polled = awake
+                    else:
+                        polled = ()
+                    if injected:
+                        polled = (*polled, *injected)
+                for i in polled:
+                    size = poll[i]()
+                    if size != queue_sizes[i]:
+                        total_queue += size - queue_sizes[i]
+                        queue_sizes[i] = size
                         if size > per_station_max[i]:
                             per_station_max[i] = size
-                    total_queue_series.append(total_queue)
-                    if counts_list is None:
-                        energy_series.append(awake_count)
-                rounds_done += 1
+                total_queue_series.append(total_queue)
 
                 # 8. Adversary view update (skipped for oblivious
                 #    adversaries; O(1) on the schedule-backed path, where
@@ -678,49 +695,7 @@ class KernelEngine:
                         )
                 t += 1
         finally:
-            # Reconcile the aggregate counters with the rounds actually
-            # completed (exceptions included).
-            self.round_no += rounds_done
-            self._queue_sizes = queue_sizes
-            self._total_queue = total_queue
-            if (
-                planned
-                and self._plan_state is not None
-                and self.round_no >= self._plan_state.stop
-            ):
-                # The cached plan is fully consumed; only aborted runs
-                # leave a remainder for the next run() to replay.
-                self._plan_state = None
-            if scheduled_view:
-                # Bring the lazily maintained history ring current so
-                # post-run inspection sees the same window the
-                # incremental path would have left behind.
-                view.flush_window()
-            if counts_list is not None:
-                # Flush the precomputed awake-count series: the energy
-                # monitor up to the last round that reached step 2, the
-                # collector only up to the last completed round — exactly
-                # what the per-round appends would have recorded.
-                flushed = counts_list[:energized]
-                energy_per_round.extend(flushed)
-                run_station_rounds += sum(flushed)
-                if flushed:
-                    peak = max(flushed)
-                    if peak > run_peak_awake:
-                        run_peak_awake = peak
-                collector.record_energy_series(counts_list[:rounds_done])
-            collector.rounds_observed += rounds_done
-            counts = collector.outcome_counts
-            for outcome, count in (
-                (silence, n_silence),
-                (heard_outcome, n_heard),
-                (collision, n_collision),
-            ):
-                if count:
-                    counts[outcome] = counts.get(outcome, 0) + count
-            # The quiescent-span path folds its counts in through
-            # EnergyMonitor.observe_span; this covers the per-round
-            # appends and the static-tier flush.
-            energy.total_station_rounds += run_station_rounds
-            if run_peak_awake > energy.max_awake:
-                energy.max_awake = run_peak_awake
+            self._reconcile(
+                start, t, mark, counts_list, energized, total_queue,
+                (n_silence, n_heard, n_collision),
+            )

@@ -126,26 +126,15 @@ class MetricsCollector:
         self.energy_series.append(awake_count)
         self.outcome_counts[outcome] = self.outcome_counts.get(outcome, 0) + 1
 
-    def record_energy_series(self, awake_counts: "list[int]") -> None:
-        """Batch-append per-round awake counts (vectorised schedule path).
-
-        The kernel engine precomputes the whole run's awake counts as a
-        numpy series from the published schedule's period and flushes them
-        here in one call instead of one ``energy_series.append`` per
-        round; the resulting list is element-for-element identical to the
-        per-round path.
-        """
-        self.energy_series.extend(awake_counts)
-
     def record_queue_span(self, total_queue: int, rounds: int) -> None:
         """Batch-append a flat stretch of the total-queue series.
 
         The kernel engine's quiescent-span fast path records ``rounds``
         consecutive rounds whose total queue size is ``total_queue`` (0
         in practice) in one extend instead of one append per round; the
-        per-station maxima are untouched because no queue changed.  Like
-        :meth:`record_energy_series` this leaves ``rounds_observed`` to
-        the caller's end-of-run reconciliation.
+        per-station maxima are untouched because no queue changed.  This
+        leaves ``rounds_observed`` to the caller's end-of-run
+        reconciliation.
         """
         self.total_queue_series.extend([total_queue] * rounds)
 

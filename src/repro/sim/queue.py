@@ -203,27 +203,18 @@ class WorkQueue:
     Parameters
     ----------
     root:
-        Queue directory; created (with its ``queue.json`` config) if
-        absent.  Reopening an existing root inherits its recorded
-        ``lease_ttl`` unless overridden explicitly.
+        Queue directory; created if absent.
     lease_ttl:
         Seconds before an unrenewed lease may be stolen.
     """
 
-    CONFIG_VERSION = 1
-
-    def __init__(self, root: str | Path, *, lease_ttl: float | None = None) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        config = self._load_config()
-        if lease_ttl is None:
-            lease_ttl = config.get("lease_ttl", DEFAULT_LEASE_TTL)
+    def __init__(self, root: str | Path, *, lease_ttl: float = DEFAULT_LEASE_TTL) -> None:
         if lease_ttl <= 0:
             raise ValueError("lease_ttl must be positive")
+        self.root = Path(root)
         self.lease_ttl = float(lease_ttl)
         for sub in (self.pending_dir, self.leased_dir, self.done_dir):
             sub.mkdir(parents=True, exist_ok=True)
-        self._save_config()
 
     # -- layout ---------------------------------------------------------------
     @property
@@ -237,23 +228,6 @@ class WorkQueue:
     @property
     def done_dir(self) -> Path:
         return self.root / "done"
-
-    @property
-    def config_path(self) -> Path:
-        return self.root / "queue.json"
-
-    def _load_config(self) -> dict:
-        try:
-            data = json.loads(self.config_path.read_text("utf-8"))
-        except (OSError, ValueError):
-            return {}
-        return data if isinstance(data, dict) else {}
-
-    def _save_config(self) -> None:
-        self._atomic_json(
-            self.config_path,
-            {"version": self.CONFIG_VERSION, "lease_ttl": self.lease_ttl},
-        )
 
     def _atomic_json(self, path: Path, payload: object) -> None:
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")

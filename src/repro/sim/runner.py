@@ -215,8 +215,8 @@ def worst_case_over(
     Returns the worst run (by observed latency, then max queue, with the
     adversary description as a final deterministic tie-break) and the full
     list of per-adversary results.  The paper's bounds are worst-case
-    statements, so measured values reported in EXPERIMENTS.md are maxima
-    over an adversary family.
+    statements, so the measured values the experiments in
+    :mod:`repro.sim.experiments` report are maxima over an adversary family.
 
     Factories may return live objects or declarative
     :func:`~repro.sim.specs.spec_fragment` dicts; with fragments the family

@@ -306,11 +306,8 @@ class RunSpec:
         object.__setattr__(
             self, "adversary_params", _json_ready(self.adversary_params, "adversary")
         )
-        # Seeded stochastic adversaries: pin the RNG protocol explicitly.
-        # The constructor default flipped from 1 to 2 when the batched
-        # protocol became standard; recording the version in every new
-        # spec keeps serialised dicts unambiguous, so from_dict can read
-        # a *missing* key as a pre-versioned (v1) recording.
+        # Seeded stochastic adversaries: pin the RNG protocol explicitly,
+        # so the version is part of every seeded spec's hash and dict.
         if (
             issubclass(adversary_entry(self.adversary).cls, SeededAdversary)
             and "rng_version" not in self.adversary_params
@@ -359,23 +356,12 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunSpec":
-        adversary = data["adversary"]
-        adversary_params = dict(data.get("adversary_params") or {})
-        # New specs always serialise the RNG protocol of a seeded
-        # adversary (__post_init__ pins it), so a dict *without* the key
-        # predates the versioning — replay it on protocol 1, the only
-        # stream that existed then, rather than the current default.
-        if (
-            issubclass(adversary_entry(adversary).cls, SeededAdversary)
-            and "rng_version" not in adversary_params
-        ):
-            adversary_params["rng_version"] = 1
         return cls(
             algorithm=data["algorithm"],
-            adversary=adversary,
+            adversary=data["adversary"],
             rounds=int(data["rounds"]),
             algorithm_params=dict(data.get("algorithm_params") or {}),
-            adversary_params=adversary_params,
+            adversary_params=dict(data.get("adversary_params") or {}),
             enforce_energy_cap=bool(data.get("enforce_energy_cap", True)),
             energy_cap=data.get("energy_cap"),
             record_trace=bool(data.get("record_trace", False)),

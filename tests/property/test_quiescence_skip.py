@@ -60,7 +60,7 @@ def quiescent_spec_strategy(draw) -> dict:
                 ("bursty", {"rho": 0.3, "beta": 2.0, "idle_rounds": 11}),
                 # Trickle traffic: short spans between single packets.
                 ("single-target", {"rho": 0.05, "beta": 1.0}),
-                # Stochastic gaps, both RNG protocol versions.
+                # Stochastic gaps, with and without an explicit protocol.
                 ("random", {"rho": 0.08, "beta": 2.0, "seed": 3}),
                 ("random", {"rho": 0.08, "beta": 2.0, "seed": 3, "rng_version": 2}),
                 ("hotspot", {"rho": 0.1, "beta": 1.0, "seed": 5, "rng_version": 2}),
@@ -210,16 +210,39 @@ def test_aborted_mid_span_run_resumes_from_plan_remainder(splits, engine_cls):
     )
 
 
-def test_exception_mid_chunk_leaves_resumable_state():
+RRW_DENSE_COMMON = dict(
+    algorithm="rrw",
+    algorithm_params={"n": 16},
+    adversary="random",
+    adversary_params={"rho": 0.9, "beta": 2.0, "seed": 3},
+)
+
+
+@pytest.mark.parametrize("engine_cls", [KernelEngine, BlockEngine])
+@pytest.mark.parametrize(
+    "common, explode_at, rounds",
+    [
+        # Quiescent spans around bursts: aborts between elided spans.
+        (BURSTY_COMMON, 150, 500),
+        # Dense traffic on RRW: the block engine aborts inside a lowered
+        # segment's commit, which must be all-or-nothing.
+        (RRW_DENSE_COMMON, 300, 600),
+    ],
+    ids=["bursty-k-cycle", "dense-rrw"],
+)
+def test_exception_mid_chunk_leaves_resumable_state(
+    engine_cls, common, explode_at, rounds
+):
     """An abort inside a chunk (factory blows up mid-burst) must leave the
     plan remainder cached so a resumed run replays — not re-plans — the
-    rounds whose leaky-bucket budget was already consumed."""
+    rounds whose leaky-bucket budget was already consumed, and must leave
+    every collector series at the round the engine stopped at."""
 
     class Boom(RuntimeError):
         pass
 
     class ExplodingFactory(PacketFactory):
-        """Raises on the first packet of the first burst at round >= 150.
+        """Raises on the first packet injected at round >= ``explode_at``.
 
         Detonating on a round's *first* materialisation aborts at a clean
         round boundary (nothing of the failing round was recorded), which
@@ -227,33 +250,48 @@ def test_exception_mid_chunk_leaves_resumable_state():
         """
 
         def make(self, destination, injected_at, origin, content=None):
-            if injected_at >= 150:
+            if injected_at >= explode_at:
                 raise Boom()
             return super().make(destination, injected_at, origin, content)
 
-    algorithm = make_algorithm("k-cycle", n=8, k=3)
-    adversary = make_adversary("bursty", rho=0.1, beta=6.0, idle_rounds=50)
+    algorithm = make_algorithm(common["algorithm"], **common["algorithm_params"])
+    adversary = make_adversary(common["adversary"], **common["adversary_params"])
     exploding = ExplodingFactory()
     adversary.bind(algorithm.n, exploding)
-    engine = KernelEngine(
+    engine = engine_cls(
         algorithm.build_controllers(),
         adversary,
         config=EngineConfig(enforce_energy_cap=False, plan_chunk=64),
         schedule=algorithm.oblivious_schedule(),
     )
     with pytest.raises(Boom):
-        engine.run(500)
+        engine.run(rounds)
     aborted_at = engine.round_no
-    assert 0 < aborted_at < 500
-    assert engine.quiescent_rounds_elided > 0
+    assert 0 < aborted_at < rounds
+    collector = engine.collector
+    assert collector.rounds_observed == aborted_at
+    assert len(collector.total_queue_series) == aborted_at
+    assert len(collector.energy_series) == aborted_at
+    assert sum(collector.outcome_counts.values()) == aborted_at
+    if common is BURSTY_COMMON:
+        assert engine.quiescent_rounds_elided > 0
+    elif engine_cls is BlockEngine:
+        assert engine.lowered_rounds > 0
     # Swap in a working factory continuing the id space and finish the
     # horizon: the replayed remainder must line up with an unbroken
     # reference run.
     adversary.factory = PacketFactory(start=exploding.created)
-    engine.run(500 - aborted_at)
+    engine.run(rounds - aborted_at)
     reference = execute_spec(
-        RunSpec(engine="reference", rounds=500, enforce_energy_cap=False, **BURSTY_COMMON)
+        RunSpec(engine="reference", rounds=rounds, enforce_energy_cap=False, **common)
     )
-    assert engine.collector.total_queue_series == reference.collector.total_queue_series
-    assert engine.collector.outcome_counts == reference.collector.outcome_counts
-    assert engine.collector.energy_series == reference.collector.energy_series
+    for field in (
+        "total_queue_series",
+        "per_station_max_queue",
+        "energy_series",
+        "outcome_counts",
+        "delays",
+        "injected_count",
+        "delivered_count",
+    ):
+        assert getattr(collector, field) == getattr(reference.collector, field), field

@@ -77,11 +77,6 @@ class TestEnqueueClaim:
         assert queue.claim("w") is None
         assert queue.counts() == {"pending": 0, "leased": 0, "done": 0}
 
-    def test_config_round_trips_ttl(self, tmp_path):
-        WorkQueue(tmp_path / "q", lease_ttl=3.5)
-        reopened = WorkQueue(tmp_path / "q")
-        assert reopened.lease_ttl == 3.5
-
 
 class TestLeaseLifecycle:
     def test_heartbeat_extends_expiry(self, tmp_path):

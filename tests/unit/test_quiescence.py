@@ -8,6 +8,8 @@ its per-round oracle; end-to-end equivalence lives in
 ``tests/property/test_quiescence_skip.py``.
 """
 
+import json
+
 import pytest
 
 from repro.channel.feedback import ChannelOutcome
@@ -145,10 +147,13 @@ def test_run_spec_quiescence_knob_is_execution_strategy_not_identity():
 
 
 def test_seeded_adversary_rejects_unknown_rng_version():
+    """Protocol 2 is the only one: the retired per-round protocol 1 is
+    rejected like any unknown version."""
     from repro.adversary import UniformRandomAdversary
 
-    with pytest.raises(ValueError, match="rng_version"):
-        UniformRandomAdversary(0.5, 1.0, seed=1, rng_version=3)
+    for version in (1, 3):
+        with pytest.raises(ValueError, match="rng_version"):
+            UniformRandomAdversary(0.5, 1.0, seed=1, rng_version=version)
 
 
 def test_rng_version_is_part_of_identity():
@@ -156,17 +161,8 @@ def test_rng_version_is_part_of_identity():
 
     assert DEFAULT_RNG_VERSION == 2
     default = UniformRandomAdversary(0.5, 1.0, seed=1)
-    v1 = UniformRandomAdversary(0.5, 1.0, seed=1, rng_version=1)
     assert default.rng_version == 2
-    assert v1.describe() != default.describe()
     assert "rng=v2" in default.describe()
-    spec_v1 = RunSpec(
-        algorithm="rrw",
-        algorithm_params={"n": 5},
-        adversary="random",
-        adversary_params={"rho": 0.5, "beta": 1.0, "seed": 1, "rng_version": 1},
-        rounds=10,
-    )
     spec_default = RunSpec(
         algorithm="rrw",
         algorithm_params={"n": 5},
@@ -174,12 +170,19 @@ def test_rng_version_is_part_of_identity():
         adversary_params={"rho": 0.5, "beta": 1.0, "seed": 1},
         rounds=10,
     )
-    assert spec_v1.spec_hash() != spec_default.spec_hash()
+    spec_explicit = RunSpec(
+        algorithm="rrw",
+        algorithm_params={"n": 5},
+        adversary="random",
+        adversary_params={"rho": 0.5, "beta": 1.0, "seed": 1, "rng_version": 2},
+        rounds=10,
+    )
+    assert spec_explicit.spec_hash() == spec_default.spec_hash()
 
 
 def test_seeded_specs_pin_the_rng_protocol_explicitly():
     """New specs record the seeded RNG protocol; a serialised dict
-    *without* the key is a pre-versioned recording and replays on v1."""
+    *without* the key reads as v2, like the constructor."""
     spec = RunSpec(
         algorithm="rrw",
         algorithm_params={"n": 5},
@@ -191,11 +194,11 @@ def test_seeded_specs_pin_the_rng_protocol_explicitly():
     assert spec.to_dict()["adversary_params"]["rng_version"] == 2
     assert RunSpec.from_dict(spec.to_dict()) == spec
 
-    legacy = spec.to_dict()
+    legacy = json.loads(json.dumps(spec.to_dict()))
     del legacy["adversary_params"]["rng_version"]
     replayed = RunSpec.from_dict(legacy)
-    assert replayed.adversary_params["rng_version"] == 1
-    assert replayed.spec_hash() != spec.spec_hash()
+    assert replayed.adversary_params["rng_version"] == 2
+    assert replayed.spec_hash() == spec.spec_hash()
 
     # Non-seeded adversaries are untouched by the normalisation.
     plain = RunSpec(
